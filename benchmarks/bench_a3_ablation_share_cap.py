@@ -34,6 +34,9 @@ class _SinkGrm:
     def send_update(self, status):
         pass
 
+    def send_delta(self, node, delta):
+        pass
+
     def task_completed(self, node, task_id, result=None):
         self.completed += 1
 

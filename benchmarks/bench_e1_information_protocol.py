@@ -5,7 +5,8 @@ desktops.  Sweep cluster size and update interval; measure the message
 and byte load the GRM absorbs per hour (over real CDR marshalling) and
 the mean staleness of the GRM's view.  Expected shape: load grows
 linearly with nodes and inversely with the interval; staleness is about
-half the interval.
+half the interval.  Every update is a full snapshot
+(``full_refresh_every=1``), as in the paper.
 """
 
 from repro import Grid
@@ -16,9 +17,12 @@ from conftest import run_once, save_result
 
 
 def measure(nodes, update_interval, seed=1):
+    # full_refresh_every=1: every update is a full status snapshot, the
+    # paper's protocol (S3 measures the delta-encoded one).
     grid = Grid(
         seed=seed, policy="first_fit", lupa_enabled=False,
         update_interval=update_interval, tick_interval=300.0,
+        full_refresh_every=1,
     )
     grid.add_cluster("c0")
     for i in range(nodes):

@@ -18,12 +18,16 @@ from conftest import run_once, save_result
 NODES_PER_CLUSTER = 25
 UPDATE_INTERVAL = 60.0
 SUMMARY_INTERVAL = 300.0
+#: The paper's protocol: every node update and every cluster summary is
+#: a full snapshot (no deltas, no throttling).
+FULL_SNAPSHOTS = dict(full_refresh_every=1, summary_refresh_every=1)
 
 
 def run_flat(total_nodes):
     """Every node reports to one GRM — the flat strawman."""
     grid = Grid(seed=4, policy="first_fit", lupa_enabled=False,
-                update_interval=UPDATE_INTERVAL, tick_interval=300.0)
+                update_interval=UPDATE_INTERVAL, tick_interval=300.0,
+                **FULL_SNAPSHOTS)
     grid.add_cluster("flat")
     for i in range(total_nodes):
         grid.add_node("flat", f"n{i:04}", dedicated=True)
@@ -42,7 +46,8 @@ def run_hierarchical(total_nodes):
     """Clusters of NODES_PER_CLUSTER, summaries to a parent GRM."""
     clusters = max(1, total_nodes // NODES_PER_CLUSTER)
     grid = Grid(seed=4, policy="first_fit", lupa_enabled=False,
-                update_interval=UPDATE_INTERVAL, tick_interval=300.0)
+                update_interval=UPDATE_INTERVAL, tick_interval=300.0,
+                **FULL_SNAPSHOTS)
     for c in range(clusters):
         grid.add_cluster(f"c{c:02}")
         for i in range(NODES_PER_CLUSTER):

@@ -3,9 +3,10 @@
 The paper's pattern-aware scheduler must rank every candidate node each
 pass; at grid scale that ranking is the hot path (see PAPERS.md on
 resource-broker matchmaking throughput).  This benchmark measures one
-schedule-pass ranking — policy ``order()`` over N offers against a GUPA
-holding learned weekly patterns — for the vectorized path and for the
-retained seed implementation (``order_scalar``), at 64/256/1024 nodes.
+schedule-pass ranking — pattern-aware ``order()`` over N offers against
+a GUPA holding learned weekly patterns — for the vectorized path and for
+the retained seed implementation (``order_scalar``), at 64/256/1024
+nodes.
 
 Reported per size: pass latency (ms), offers ranked per second, and the
 vectorized-over-scalar speedup.  The committed ``BENCH_S2.json`` is the
@@ -20,11 +21,7 @@ import numpy as np
 from repro.analysis.metrics import Table
 from repro.apps.spec import ApplicationSpec
 from repro.core.gupa import Gupa
-from repro.core.scheduler import (
-    FastestFirstPolicy,
-    PatternAwarePolicy,
-    ScheduleContext,
-)
+from repro.core.scheduler import PatternAwarePolicy, ScheduleContext
 
 from conftest import run_once, save_json, save_result
 
@@ -82,7 +79,7 @@ def measure(n_nodes):
     """One row per policy: vectorized vs scalar ranking at ``n_nodes``."""
     gupa, offers = build_workload(n_nodes)
     rows = []
-    for policy in (PatternAwarePolicy(), FastestFirstPolicy()):
+    for policy in (PatternAwarePolicy(),):
         # Equivalence first: same GUPA, same offers, identical order.
         ctx = make_ctx(gupa)
         vec_order = [o["node"] for o in policy.order(offers, ctx)]

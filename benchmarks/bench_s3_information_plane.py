@@ -7,12 +7,10 @@ ORB with three configurations of the same workload and measures what
 the scaling features buy:
 
 * ``full``        — the seed protocol: full snapshot, every node, every
-  interval, re-indexed per update (the paper's baseline).
+  interval, re-indexed per update (the paper's baseline; the GRM's
+  view is flushed after every update).
 * ``delta``       — delta encoding + adaptive throttling on the sender,
   batched ingestion on the GRM; still fully marshalled.
-* ``delta+batch`` — the same, plus transport-level oneway batching: the
-  sender ORB queues its update oneways and flushes once per interval,
-  so frames drop from O(messages) to O(flushes) (still marshalled).
 * ``delta+fast``  — delta + the in-process ORB fast path.
 
 Senders are :class:`~repro.core.update_protocol.DeltaSender` machines
@@ -45,7 +43,7 @@ from repro.analysis.metrics import Table
 from conftest import save_json, save_result
 
 SCALING_NODES = (1_000, 4_000, 10_000)
-MODES = ("full", "delta", "delta+batch", "delta+fast")
+MODES = ("full", "delta", "delta+fast")
 ROUNDS = 36                    # simulated update intervals per run
 BASE_INTERVAL = 60.0
 MAX_INTERVAL = 8 * BASE_INTERVAL
@@ -67,14 +65,10 @@ def node_status(i):
 def build_plane(nodes, mode):
     """A registered GRM + client stub + per-node sender state."""
     fast = mode == "delta+fast"
-    batch = mode == "delta+batch"
     domain = InProcDomain()
-    server_orb = Orb("grm-orb", domain=domain, fast_local=fast,
-                     batch_oneway=batch)
-    client_orb = Orb("lrm-orb", domain=domain, fast_local=fast,
-                     batch_oneway=batch)
-    grm = Grm(EventLoop(), server_orb, cluster="bench",
-              batched_ingest=(mode != "full"))
+    server_orb = Orb("grm-orb", domain=domain, fast_local=fast)
+    client_orb = Orb("lrm-orb", domain=domain, fast_local=fast)
+    grm = Grm(EventLoop(), server_orb, cluster="bench")
     grm_ref = server_orb.activate(grm, GRM_INTERFACE, key="bench/grm")
     stub = client_orb.stub(grm_ref, GRM_INTERFACE)
 
@@ -106,14 +100,11 @@ def build_plane(nodes, mode):
     return server_orb, client_orb, grm, stub, statuses, senders, next_due
 
 
-def drive(grm, stub, statuses, senders, next_due, rounds=ROUNDS,
-          flush_orb=None):
+def drive(grm, stub, statuses, senders, next_due, rounds=ROUNDS):
     """Run the workload; returns (messages sent, wall seconds).
 
-    ``flush_orb`` (the sender ORB, in ``delta+batch`` mode) is flushed
-    at every interval boundary — the bench's stand-in for the grid's
-    sim-event-boundary flush — so each round's queued oneways ride one
-    batch frame.
+    Without senders (``full`` mode) every update is re-indexed as it
+    arrives, as the seed GRM did.
     """
     sent = 0
     start = time.perf_counter()
@@ -128,6 +119,7 @@ def drive(grm, stub, statuses, senders, next_due, rounds=ROUNDS,
             for status in statuses:
                 status["time"] = now
                 stub.send_update(dict(status))
+                grm.flush_updates()
                 sent += 1
         else:
             for i, sender in enumerate(senders):
@@ -142,8 +134,6 @@ def drive(grm, stub, statuses, senders, next_due, rounds=ROUNDS,
                     stub.send_delta(status["node"], dict(payload))
                 next_due[i] = now + sender.current_interval
                 sent += 1
-        if flush_orb is not None:
-            flush_orb.flush()
         if r % QUERY_EVERY == 0:
             grm.flush_updates()   # a consumer reads the Trader's view
     grm.flush_updates()
@@ -155,16 +145,14 @@ def measure_mode(nodes, mode, rounds=ROUNDS):
     server_orb, client_orb, grm, stub, statuses, senders, next_due = \
         build_plane(nodes, mode)
     try:
-        sent, elapsed = drive(
-            grm, stub, statuses, senders, next_due, rounds,
-            flush_orb=client_orb if mode == "delta+batch" else None,
-        )
+        sent, elapsed = drive(grm, stub, statuses, senders, next_due,
+                              rounds)
         wire = server_orb.stats()
         bytes_in = wire["bytes_received"]
         assert grm.stats.updates_received == sent
-        # Fold the GRM's final node view into a digest: batching must
-        # leave the information plane's *state* bit-identical, not just
-        # its counters.
+        # Fold the GRM's final node view into a digest: the fast path
+        # must leave the information plane's *state* bit-identical, not
+        # just its counters.
         digest = hashlib.sha256()
         for node in sorted(grm._nodes):
             status = grm._nodes[node].last_status
@@ -225,20 +213,17 @@ def test_s3_information_plane(benchmark):
     for nodes in SCALING_NODES:
         full = _row(rows, nodes, "full")
         delta = _row(rows, nodes, "delta")
-        batch = _row(rows, nodes, "delta+batch")
         fast = _row(rows, nodes, "delta+fast")
         # Throttling must actually shed messages...
         assert delta["messages"] < full["messages"] / 2
         # ...and deltas must shrink what the GRM absorbs per message.
         assert delta["bytes_per_update"] < full["bytes_per_update"]
-        # The fast path removes the wire entirely for co-located pairs.
-        assert fast["wire_bytes"] == 0
-        # Oneway batching sends the same messages in far fewer frames
+        # The fast path removes the wire entirely for co-located pairs
         # and leaves the GRM's final node view bit-identical.
-        assert batch["messages"] == delta["messages"]
-        assert batch["view_digest"] == delta["view_digest"]
+        assert fast["wire_bytes"] == 0
+        assert fast["messages"] == delta["messages"]
+        assert fast["view_digest"] == delta["view_digest"]
         assert delta["frames"] == delta["messages"]
-        assert delta["frames"] / batch["frames"] >= 5.0
     full = _row(rows, 10_000, "full")
     delta = _row(rows, 10_000, "delta")
     fast = _row(rows, 10_000, "delta+fast")

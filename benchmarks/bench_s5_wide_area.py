@@ -10,7 +10,9 @@ wide-area submit.  This benchmark federates hundreds of clusters
 in three configurations:
 
 * ``seed``          — the seed wide-area plane: full summaries every
-  interval, scan-and-sort placement, O(children) aggregation.
+  interval, scan-and-sort placement, O(children) aggregation, rebuilt
+  from the oracles ParentGrm retains (``_rank_candidates``,
+  ``aggregate_oracle``).
 * ``indexed``       — incremental aggregation + the free-CPU placement
   index; summary traffic unchanged, so placements must be bit-identical
   to seed (same data, purely algorithmic win — the digest gate).
@@ -42,6 +44,7 @@ same state) re-run in ``perf_smoke.py``.
 import hashlib
 import time
 
+from repro.apps.spec import ApplicationSpec
 from repro.core.hierarchy import ParentGrm
 from repro.core.protocols import GRM_INTERFACE, PARENT_GRM_INTERFACE
 from repro.core.update_protocol import FULL, DeltaSender
@@ -64,6 +67,18 @@ SUBMITS_PER_ROUND = 64
 PLACEABLE_EVERY = 128           # 1/128 of submits can actually be hosted
 ORACLE_EVERY = 16               # delta-mode submits checked vs the oracle
 AGG_PROBES = 5000               # aggregate_summary() calls timed at the end
+
+
+class SeedParentGrm(ParentGrm):
+    """ParentGrm answering from its seed oracles: every submit parses the
+    spec and scans + sorts all children, every aggregate re-sums them."""
+
+    def aggregate_summary(self):
+        return self.aggregate_oracle()
+
+    def _candidates(self, spec_dict, origin):
+        return self._rank_candidates(ApplicationSpec.from_dict(spec_dict),
+                                     origin)
 
 
 class SummaryOnlyChildGrm:
@@ -130,7 +145,6 @@ def make_specs():
     callers probe the federation.  Seed placement pays a full parse +
     scan + sort to find that out; the index answers from its first entry.
     """
-    from repro.apps.spec import ApplicationSpec
     placeable = ApplicationSpec(name="wide", tasks=4, work_mips=1e5).to_dict()
     unplaceable = ApplicationSpec(
         name="probe", tasks=200, work_mips=1e5
@@ -143,11 +157,8 @@ def build_plane(clusters, mode):
     domain = InProcDomain()
     server_orb = Orb("parent-orb", domain=domain)
     child_orb = Orb("children-orb", domain=domain)
-    parent = ParentGrm(
-        EventLoop(), server_orb, name="root",
-        incremental_aggregation=(mode != "seed"),
-        indexed_placement=(mode != "seed"),
-    )
+    parent_type = SeedParentGrm if mode == "seed" else ParentGrm
+    parent = parent_type(EventLoop(), server_orb, name="root")
     parent_ior = server_orb.activate(
         parent, PARENT_GRM_INTERFACE, key="root/parent"
     ).to_string()
@@ -179,7 +190,6 @@ def build_plane(clusters, mode):
 
 def _oracle_order(parent, spec_dict, origin):
     """Seed ranking on the parent's *current* state (the placement oracle)."""
-    from repro.apps.spec import ApplicationSpec
     spec = ApplicationSpec.from_dict(spec_dict)
     return [r.cluster for r in parent._rank_candidates(spec, origin)]
 

@@ -1,35 +1,25 @@
 """S6 — communication-plane scaling (infrastructure benchmark).
 
-The seed ORB sends one transport frame per call, copies every octet
-sequence out of the receive buffer, and serialises TCP callers behind a
-per-connection lock.  This benchmark measures what the PR's three
-opt-in mechanisms buy, each against its seed path run in-process:
+The seed ORB copies every octet sequence out of the receive buffer and
+serialises TCP callers behind a per-connection lock.  This benchmark
+measures the communication plane as it is now:
 
 * **Oneway storm** — 10k logical senders fire oneway status reports at
-  one sink per round.  ``per-call`` mode is the seed (one frame per
-  call); ``batched`` queues per peer and flushes once per round, so
-  frames drop from O(calls) to O(flushes).  A server-side interceptor
-  digests every dispatched call, so delivery (content *and* order) is
-  asserted bit-identical between modes.
+  one sink per round, one frame per call.  A server-side interceptor
+  digests every dispatched call (content *and* order).
 * **CDR plane** — decode throughput over chunk-shaped records (string +
   ulong + 64 KiB octets): the seed decoder copies every blob out of the
-  buffer, ``zero_copy=True`` returns memoryview slices.  Encode
-  throughput with pooled vs per-message encoders rides along.  Output
-  bytes are asserted identical.
-* **Pipelined TCP** — oneway delivery over a real socket: legacy
-  framing pays one frame (and one send syscall) per message, the
-  pipelined connection negotiates batch capability so flushed batches
-  collapse frames by the flush interval.  A threaded two-way run (8
-  client threads sharing one connection, both framings) rides along as
-  a correctness check; its throughput is reported, not gated — with
-  per-connection dispatch serialised on both framings, loopback
-  request/reply is a round-trip-latency race that pipelining is not
-  built to win.
+  buffer, ``zero_copy=True`` (what the ORB's dispatch uses) returns
+  memoryview slices.  Decoded records are asserted identical.
+* **TCP** — oneway delivery over a real socket (one correlation-id
+  frame per message, Nagle off), and a threaded two-way run (8 client
+  threads sharing one connection) as a correctness check; two-way
+  throughput is reported, not gated — loopback request/reply is a
+  round-trip-latency race.
 
 Rows land in ``BENCH_S6.json`` with ``--bench-json``; the committed
-file is the CI baseline and the headline gates (>= 5x frame reduction
-with identical digests, >= 2x zero-copy decode throughput) re-run in
-``perf_smoke.py``.
+file is the CI baseline, and the per-call storm rate and the >= 2x
+zero-copy decode gate re-run in ``perf_smoke.py``.
 """
 
 import hashlib
@@ -37,12 +27,7 @@ import threading
 import time
 
 from repro.analysis.metrics import Table
-from repro.orb.cdr import (
-    CdrDecoder,
-    CdrEncoder,
-    acquire_encoder,
-    release_encoder,
-)
+from repro.orb.cdr import CdrDecoder, CdrEncoder
 from repro.orb.core import Orb
 from repro.orb.idl import InterfaceDef, Operation, Parameter
 from repro.orb.transport import InProcDomain
@@ -57,7 +42,6 @@ CDR_CHUNK_BYTES = 64 * 1024
 TCP_THREADS = 8
 TCP_CALLS_PER_THREAD = 50
 TCP_ONEWAYS = 20_000
-TCP_FLUSH_EVERY = 1_000
 TCP_DRAIN_TIMEOUT_S = 30.0
 BEST_OF = 3
 
@@ -86,17 +70,15 @@ class _Echo:
 
 # -- oneway storm ------------------------------------------------------------
 
-def measure_storm(mode: str, rounds: int = STORM_ROUNDS) -> dict:
-    """Drive the oneway storm in one mode; returns its metric row.
+def measure_storm(rounds: int = STORM_ROUNDS) -> dict:
+    """Drive the oneway storm; returns its metric row.
 
     The digest folds in every dispatched call's key, operation, and
-    argument tuple *in dispatch order*, so two modes with equal digests
-    delivered the same calls in the same order.
+    argument tuple *in dispatch order*.
     """
-    batch = mode == "batched"
     domain = InProcDomain()
-    server_orb = Orb("sink-orb", domain=domain, batch_oneway=batch)
-    client_orb = Orb("storm-orb", domain=domain, batch_oneway=batch)
+    server_orb = Orb("sink-orb", domain=domain)
+    client_orb = Orb("storm-orb", domain=domain)
     digest = hashlib.sha256()
 
     def interceptor(key, operation, args):
@@ -112,18 +94,14 @@ def measure_storm(mode: str, rounds: int = STORM_ROUNDS) -> dict:
             base = float(r)
             for i in range(SENDERS):
                 report(f"n{i:05}", r, base + (i % 10) * 0.01)
-            client_orb.flush()   # the grid's event-boundary flush
         elapsed = time.perf_counter() - start
         calls = rounds * SENDERS
         assert server_orb.requests_handled == calls
         return {
-            "mode": mode,
+            "mode": "per-call",
             "rounds": rounds,
             "calls": calls,
             "frames": server_orb.inproc_stats().requests_received,
-            "batch_calls": client_orb.batch_calls,
-            "batch_frames": client_orb.batch_frames,
-            "bytes_saved": client_orb.batch_bytes_saved,
             "wire_bytes": server_orb.stats()["bytes_received"],
             "calls_per_wall_s": round(calls / elapsed, 1),
             "wall_s": round(elapsed, 4),
@@ -160,7 +138,7 @@ def _decode_all(buf: bytes, zero_copy: bool) -> int:
 
 
 def measure_cdr() -> dict:
-    """Best-of decode and encode throughput, seed vs zero-copy/pooled."""
+    """Best-of decode throughput, seed vs zero-copy."""
     buf = _chunk_buffer()
     # Equivalence: both decoders yield content-identical records.
     seed_dec = CdrDecoder(buf)
@@ -179,58 +157,32 @@ def measure_cdr() -> dict:
             assert total == CDR_RECORDS * CDR_CHUNK_BYTES
             rates[label] = max(rates[label], CDR_RECORDS / elapsed)
 
-    def encode_round(pooled: bool) -> bytes:
-        last = b""
-        for i in range(CDR_RECORDS):
-            enc = acquire_encoder() if pooled else CdrEncoder()
-            enc.write_string(f"task-{i:04}")
-            enc.write_ulong(i)
-            enc.write_octets(_CHUNK_FILL)
-            last = enc.getvalue()
-            if pooled:
-                release_encoder(enc)
-        return last
-
-    assert encode_round(False) == encode_round(True)
-    enc_rates = {"fresh": 0.0, "pooled": 0.0}
-    for _ in range(BEST_OF):
-        for label, pooled in (("fresh", False), ("pooled", True)):
-            start = time.perf_counter()
-            encode_round(pooled)
-            elapsed = time.perf_counter() - start
-            enc_rates[label] = max(enc_rates[label], CDR_RECORDS / elapsed)
     return {
         "records": CDR_RECORDS,
         "chunk_bytes": CDR_CHUNK_BYTES,
         "decode_seed_records_per_s": round(rates["seed"], 1),
         "decode_zero_copy_records_per_s": round(rates["zero_copy"], 1),
         "decode_speedup": round(rates["zero_copy"] / rates["seed"], 2),
-        "encode_fresh_records_per_s": round(enc_rates["fresh"], 1),
-        "encode_pooled_records_per_s": round(enc_rates["pooled"], 1),
     }
 
 
-# -- pipelined TCP -----------------------------------------------------------
+# -- TCP -----------------------------------------------------------------------
 
-def _tcp_pair(pipelined: bool, batch: bool) -> tuple:
+def _tcp_pair() -> tuple:
     """Server + client ORB joined only by a real TCP socket.
 
     Separate in-proc domains force the client's route onto TCP (the
     servant's in-proc endpoint is not resolvable from the client's
     domain, exactly like two separate processes).
     """
-    server_orb = Orb("tcp-server", domain=InProcDomain(), tcp=True,
-                     tcp_pipelined=pipelined, batch_oneway=batch)
-    client_orb = Orb("tcp-client", domain=InProcDomain(), tcp=True,
-                     tcp_pipelined=pipelined, batch_oneway=batch)
+    server_orb = Orb("tcp-server", domain=InProcDomain(), tcp=True)
+    client_orb = Orb("tcp-client", domain=InProcDomain(), tcp=True)
     return server_orb, client_orb
 
 
-def measure_tcp_oneway(mode: str) -> dict:
-    """Oneway delivery over TCP: per-call frames vs negotiated batches."""
-    batch = mode == "pipelined+batched"
-    pipelined = mode != "legacy"
-    server_orb, client_orb = _tcp_pair(pipelined, batch)
+def measure_tcp_oneway() -> dict:
+    """Oneway delivery over TCP, one frame per message."""
+    server_orb, client_orb = _tcp_pair()
     digest = hashlib.sha256()
 
     def interceptor(key, operation, args):
@@ -244,10 +196,6 @@ def measure_tcp_oneway(mode: str) -> dict:
         start = time.perf_counter()
         for i in range(TCP_ONEWAYS):
             report(f"n{i % 100:03}", i, 0.5)
-            if batch and (i + 1) % TCP_FLUSH_EVERY == 0:
-                client_orb.flush()
-        if batch:
-            client_orb.flush()
         # Oneways are asynchronous on the wire: wall time covers actual
         # delivery, polled on the server's dispatch counter.
         deadline = time.monotonic() + TCP_DRAIN_TIMEOUT_S
@@ -257,7 +205,7 @@ def measure_tcp_oneway(mode: str) -> dict:
         elapsed = time.perf_counter() - start
         assert server_orb.requests_handled == TCP_ONEWAYS
         return {
-            "mode": mode,
+            "mode": "tcp",
             "calls": TCP_ONEWAYS,
             "frames": server_orb.stats()["requests_received"],
             "calls_per_wall_s": round(TCP_ONEWAYS / elapsed, 1),
@@ -269,9 +217,9 @@ def measure_tcp_oneway(mode: str) -> dict:
         server_orb.shutdown()
 
 
-def measure_tcp_twoway(pipelined: bool) -> dict:
+def measure_tcp_twoway() -> dict:
     """Threaded two-way calls over one real TCP connection."""
-    server_orb, client_orb = _tcp_pair(pipelined, batch=False)
+    server_orb, client_orb = _tcp_pair()
     ref = server_orb.activate(_Echo(), ECHO_INTERFACE, key="bench/echo")
     stub = client_orb.stub(ref, ECHO_INTERFACE)
     errors: list = []
@@ -286,7 +234,7 @@ def measure_tcp_twoway(pipelined: bool) -> dict:
             errors.append(exc)
 
     try:
-        stub.echo("warm-up")   # connection + (maybe) negotiation
+        stub.echo("warm-up")   # connection set-up
         threads = [
             threading.Thread(target=worker, args=(tid,))
             for tid in range(TCP_THREADS)
@@ -301,7 +249,7 @@ def measure_tcp_twoway(pipelined: bool) -> dict:
             raise errors[0]
         calls = TCP_THREADS * TCP_CALLS_PER_THREAD
         return {
-            "mode": "pipelined" if pipelined else "legacy",
+            "mode": "tcp",
             "threads": TCP_THREADS,
             "calls": calls,
             "calls_per_wall_s": round(calls / elapsed, 1),
@@ -312,14 +260,14 @@ def measure_tcp_twoway(pipelined: bool) -> dict:
         server_orb.shutdown()
 
 
-# -- harness -----------------------------------------------------------------
+# -- harness -------------------------------------------------------------------
 
 def run_experiment():
     storm_table = Table(
         ["mode", "calls", "frames", "KB on wire", "calls/s (wall)"],
         title=f"S6a: {SENDERS}-sender oneway storm, {STORM_ROUNDS} rounds",
     )
-    storm_rows = [measure_storm(mode) for mode in ("per-call", "batched")]
+    storm_rows = [measure_storm()]
     for row in storm_rows:
         storm_table.add_row(
             row["mode"], f"{row['calls']:,}", f"{row['frames']:,}",
@@ -336,21 +284,11 @@ def run_experiment():
         f"{cdr_row['decode_zero_copy_records_per_s']:,.0f}",
         f"{cdr_row['decode_speedup']:.1f}x",
     )
-    enc_speedup = (cdr_row["encode_pooled_records_per_s"]
-                   / cdr_row["encode_fresh_records_per_s"])
-    cdr_table.add_row(
-        "encode", f"{cdr_row['encode_fresh_records_per_s']:,.0f}",
-        f"{cdr_row['encode_pooled_records_per_s']:,.0f}",
-        f"{enc_speedup:.1f}x",
-    )
     tcp_table = Table(
         ["mode", "calls", "frames", "msgs/s (wall)"],
         title="S6c: oneway delivery over one TCP connection",
     )
-    tcp_rows = [
-        measure_tcp_oneway(mode)
-        for mode in ("legacy", "pipelined", "pipelined+batched")
-    ]
+    tcp_rows = [measure_tcp_oneway()]
     for row in tcp_rows:
         tcp_table.add_row(
             row["mode"], f"{row['calls']:,}", f"{row['frames']:,}",
@@ -360,7 +298,7 @@ def run_experiment():
         ["mode", "threads", "calls", "calls/s (wall)"],
         title="S6d: threaded two-way calls over one TCP connection",
     )
-    twoway_rows = [measure_tcp_twoway(pipelined) for pipelined in (False, True)]
+    twoway_rows = [measure_tcp_twoway()]
     for row in twoway_rows:
         twoway_table.add_row(
             row["mode"], row["threads"], row["calls"],
@@ -368,10 +306,6 @@ def run_experiment():
         )
     tables = (storm_table, cdr_table, tcp_table, twoway_table)
     return tables, storm_rows, cdr_row, tcp_rows, twoway_rows
-
-
-def _storm_row(rows, mode):
-    return next(r for r in rows if r["mode"] == mode)
 
 
 def test_s6_comm_plane(benchmark):
@@ -390,36 +324,15 @@ def test_s6_comm_plane(benchmark):
         "tcp_oneway_rows": tcp_rows,
         "tcp_twoway_rows": twoway_rows,
     })
-    seed = _storm_row(storm_rows, "per-call")
-    batched = _storm_row(storm_rows, "batched")
-    # Identical delivery (content and order), proven by the server-side
-    # digest, with every logical call dispatched in both modes...
-    assert seed["digest"] == batched["digest"]
-    assert seed["calls"] == batched["calls"]
-    assert seed["frames"] == seed["calls"]
-    # ...but the batched wire carries one frame per flush, not per call
-    # (each round's queue stays under the early-flush byte cap).
-    assert batched["frames"] == STORM_ROUNDS
-    assert batched["batch_calls"] == batched["calls"]
-    assert seed["frames"] / batched["frames"] >= 5.0
-    assert batched["bytes_saved"] > 0
-    # Zero-copy decode is the headline CDR gate; pooled encode must at
-    # minimum not regress.
+    (storm,) = storm_rows
+    # Every logical call was dispatched, one frame each.
+    assert storm["frames"] == storm["calls"] == STORM_ROUNDS * SENDERS
+    # Zero-copy decode is the headline CDR gate.
     assert cdr_row["decode_speedup"] >= 2.0
-    assert (cdr_row["encode_pooled_records_per_s"]
-            >= 0.7 * cdr_row["encode_fresh_records_per_s"])
-    # Over the real socket, every mode delivers the same calls in the
-    # same order (server-side digest), legacy pays one frame per call,
-    # and negotiated batching collapses frames by the flush interval.
-    legacy = next(r for r in tcp_rows if r["mode"] == "legacy")
-    piped = next(r for r in tcp_rows if r["mode"] == "pipelined")
-    piped_batch = next(
-        r for r in tcp_rows if r["mode"] == "pipelined+batched")
-    assert legacy["digest"] == piped["digest"] == piped_batch["digest"]
-    assert legacy["frames"] == TCP_ONEWAYS
-    assert piped_batch["frames"] == TCP_ONEWAYS // TCP_FLUSH_EVERY
-    assert legacy["frames"] / piped_batch["frames"] >= 5.0
-    # Both TCP framings completed every threaded two-way call
-    # (throughput is reported, not gated: loopback timings are noisy).
+    # Over the real socket every oneway arrives, one frame each.
+    (tcp,) = tcp_rows
+    assert tcp["frames"] == TCP_ONEWAYS
+    # Every threaded two-way call completed (throughput is reported,
+    # not gated: loopback timings are noisy).
     for row in twoway_rows:
         assert row["calls"] == TCP_THREADS * TCP_CALLS_PER_THREAD

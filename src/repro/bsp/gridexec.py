@@ -67,10 +67,6 @@ class BspGridCoordinator:
         )
         #: Run the functional program with batched superstep comms.
         self.combining = bool(spec.metadata.get("bsp_combining", False))
-        #: Model transport-level oneway batching in the functional run.
-        self.batch_oneway = bool(
-            spec.metadata.get("bsp_batch_oneway", False)
-        )
         self.work_per_superstep = spec.work_mips / self.supersteps
         self.store = checkpoint_store
         self.recovery = RecoveryManager(
@@ -205,7 +201,6 @@ class BspGridCoordinator:
         try:
             run = run_bsp(
                 len(self.job.tasks), fn, *args, combining=self.combining,
-                batch_oneway=self.batch_oneway,
             )
         except BspError as exc:
             self.executed_results = None

@@ -6,13 +6,13 @@ node after eviction or crash (migration, in the paper's terms).  The
 memory store backs simulations; the file store demonstrates the same
 interface against a real filesystem.
 
-Both stores support two opt-in scaling features (seed behaviour is the
-default and byte-identical):
+Two scaling features:
 
-* ``skip_unchanged`` — a save whose state digest matches the task's
+* **skip unchanged** — a save whose state digest matches the task's
   latest record is skipped entirely (no serialization re-store, no
-  file write); the previous record is returned unchanged.
-* ``chunked`` — incremental, content-addressed storage
+  file write); the previous record is returned unchanged.  Always on
+  in the memory store; the file store can turn it off.
+* ``chunked`` (opt-in) — incremental, content-addressed storage
   (:mod:`repro.checkpoint.chunking`): serialized state is split into
   fixed-size chunks kept once per content digest across *all* tasks,
   each save writes only the chunks that changed since the task's
@@ -125,14 +125,13 @@ class MemoryCheckpointStore(_StoreMetricsMixin):
         chunked: bool = False,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         rebase_every: int = DEFAULT_REBASE_EVERY,
-        skip_unchanged: bool = False,
     ):
         if keep_history < 1:
             raise ValueError("must keep at least one checkpoint")
         self.keep_history = keep_history
         self._records: dict[str, list[CheckpointRecord]] = {}
         self._init_accounting(chunked, chunk_size, rebase_every,
-                              skip_unchanged)
+                              skip_unchanged=True)
         #: Chunked-mode accounting: bytes materialized by full records
         #: (initial snapshots and rebases) vs delta records.
         self.bytes_written_full = 0

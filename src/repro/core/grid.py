@@ -26,6 +26,7 @@ from repro.core.protocols import (
     LRM_INTERFACE,
 )
 from repro.core.scheduler import POLICIES, SchedulingPolicy
+from repro.core.update_protocol import DEFAULT_FULL_REFRESH_EVERY
 from repro.orb.core import Orb
 from repro.orb.naming import NamingService, NAMING_INTERFACE
 from repro.orb.transport import InProcDomain
@@ -95,21 +96,13 @@ class Grid:
         holidays: Optional[set] = None,
         programs=None,
         auth_secret: Optional[bytes] = None,
-        delta_updates: bool = False,
-        full_refresh_every: int = 10,
+        full_refresh_every: int = DEFAULT_FULL_REFRESH_EVERY,
         update_epsilon: float = 0.0,
         max_update_interval: Optional[float] = None,
-        batched_ingest: bool = False,
         fast_local: bool = False,
-        batch_oneway: bool = False,
-        zero_copy_cdr: bool = False,
         chunked_checkpoints: bool = False,
         checkpoint_chunk_size: Optional[int] = None,
         checkpoint_rebase_every: Optional[int] = None,
-        skip_unchanged_checkpoints: bool = False,
-        incremental_summaries: bool = False,
-        indexed_placement: bool = False,
-        delta_uplinks: bool = False,
         summary_interval: Optional[float] = None,
         summary_refresh_every: int = 10,
         summary_epsilon: float = 0.0,
@@ -129,30 +122,19 @@ class Grid:
         self.lupa_upload_interval = lupa_upload_interval
         self.lupa_relearn_interval = lupa_relearn_interval
         self.holidays = holidays if holidays is not None else set()
-        #: Information-plane scaling knobs (all off by default: the seed
-        #: wire format, event schedule, and trader behaviour are kept
-        #: bit-identical unless explicitly opted in).
-        self.delta_updates = delta_updates
+        #: Information Update Protocol: every ``full_refresh_every``-th
+        #: send is a full snapshot (1 = the paper's full-status push),
+        #: the others carry only fields that moved past
+        #: ``update_epsilon``; idle nodes stretch their cadence up to
+        #: ``max_update_interval``.
         self.full_refresh_every = full_refresh_every
         self.update_epsilon = update_epsilon
         self.max_update_interval = max_update_interval
-        self.batched_ingest = batched_ingest
+        #: Co-located ORBs dispatch to each other without marshalling
+        #: (no bytes on the wire, so off where bytes are measured).
         self.fast_local = fast_local
-        #: Communication-plane scaling knobs (off by default): coalesce
-        #: oneway requests into per-peer batch frames flushed at every
-        #: sim-event boundary, and decode/encode CDR without copies.
-        #: Delivery still happens at the same simulated instant as the
-        #: event that queued it, so component state is unchanged — only
-        #: the frame count drops from O(calls) to O(peer-flushes).
-        self.batch_oneway = batch_oneway
-        self.zero_copy_cdr = zero_copy_cdr
-        #: ORBs with a non-empty oneway queue, flushed after each event.
-        self._dirty_batch_orbs: set = set()
-        if batch_oneway:
-            self.loop.set_post_event_hook(self._flush_batched_orbs)
-        #: Execution-plane scaling knobs (also off by default): chunked
-        #: content-addressed checkpoint storage per cluster repository
-        #: and digest-skip of unchanged per-node checkpoint saves.
+        #: Chunked content-addressed checkpoint storage per cluster
+        #: repository: fewer bytes per save for more CPU per save.
         from repro.checkpoint.chunking import DEFAULT_REBASE_EVERY
         from repro.checkpoint.serializer import DEFAULT_CHUNK_SIZE
         self.chunked_checkpoints = chunked_checkpoints
@@ -164,14 +146,8 @@ class Grid:
             checkpoint_rebase_every if checkpoint_rebase_every is not None
             else DEFAULT_REBASE_EVERY
         )
-        self.skip_unchanged_checkpoints = skip_unchanged_checkpoints
-        #: Wide-area-plane scaling knobs (off by default: parents keep
-        #: the seed O(children) aggregation, scan-and-sort placement,
-        #: and fixed-interval full-summary uplinks).
+        #: Summary uplinks from clusters to parents: same update protocol.
         from repro.core.hierarchy import DEFAULT_SUMMARY_INTERVAL
-        self.incremental_summaries = incremental_summaries
-        self.indexed_placement = indexed_placement
-        self.delta_uplinks = delta_uplinks
         self.summary_interval = (
             summary_interval if summary_interval is not None
             else DEFAULT_SUMMARY_INTERVAL
@@ -213,28 +189,13 @@ class Grid:
             keyring=self._keyring,
             require_auth=self._keyring is not None,
             fast_local=self.fast_local,
-            batch_oneway=self.batch_oneway,
-            zero_copy_cdr=self.zero_copy_cdr,
         )
         self._orbs.append(orb)
-        if self.batch_oneway:
-            orb.set_batch_notifier(self._dirty_batch_orbs.add)
         if self.tracer is not None:
             orb.set_tracer(self.tracer)
         if self.metrics is not None:
             orb.to_metrics(self.metrics)
         return orb
-
-    def _flush_batched_orbs(self) -> None:
-        """Event-boundary flush: drain every ORB that queued oneways.
-
-        Flushing can enqueue more (a dispatched servant may itself make
-        oneway calls), re-dirtying ORBs — the loop runs until quiescent,
-        all within the same simulated instant.
-        """
-        dirty = self._dirty_batch_orbs
-        while dirty:
-            dirty.pop().flush()
 
     def _slowest_healthy_interval(self) -> float:
         """What the GRM should treat as one healthy update interval.
@@ -246,7 +207,7 @@ class Grid:
         a healthy node may adopt — the price of throttling is slower
         crash detection, never false deaths.
         """
-        if self.delta_updates and self.max_update_interval is not None:
+        if self.max_update_interval is not None:
             return max(self.update_interval, self.max_update_interval)
         return self.update_interval
 
@@ -282,7 +243,6 @@ class Grid:
             chunked=self.chunked_checkpoints,
             chunk_size=self.checkpoint_chunk_size,
             rebase_every=self.checkpoint_rebase_every,
-            skip_unchanged=self.skip_unchanged_checkpoints,
         )
         grm = Grm(
             self.loop,
@@ -294,7 +254,6 @@ class Grid:
             checkpoint_store=store,
             schedule_interval=self.schedule_interval,
             update_interval_hint=self._slowest_healthy_interval(),
-            batched_ingest=self.batched_ingest,
         )
         naming = NamingService()
         grm_ior = orb.activate(grm, GRM_INTERFACE, key=f"{name}/grm").to_string()
@@ -341,59 +300,11 @@ class Grid:
             holidays=self.holidays,
             scheduling=scheduling,
         )
-        ncc = NodeControlCenter(self.loop.clock, sharing)
-        orb = self._make_orb(f"{name}-orb")
-        lrm = Lrm(
-            self.loop,
-            workstation,
-            ncc,
-            checkpoint_store=handle.checkpoint_store,
-            update_interval=self.update_interval,
-            tick_interval=self.tick_interval,
-            delta_updates=self.delta_updates,
-            full_refresh_every=self.full_refresh_every,
-            update_epsilon=self.update_epsilon,
-            max_update_interval=self.max_update_interval,
-            skip_unchanged_checkpoints=self.skip_unchanged_checkpoints,
+        return self._attach_node(
+            handle, workstation, sharing, segment,
+            lupa_enabled=self.lupa_enabled and not dedicated,
+            dedicated=dedicated,
         )
-        lrm_ref = orb.activate(lrm, LRM_INTERFACE, key=f"{name}/lrm")
-        grm_stub = orb.stub(handle.grm_ior, GRM_INTERFACE)
-        lrm.attach_grm(grm_stub, lrm_ref.to_string())
-
-        lupa = None
-        if self.lupa_enabled and not dedicated:
-            machine = workstation.machine
-            lupa = Lupa(
-                self.loop,
-                name,
-                probe=lambda m=machine: 1.0 if (
-                    m.keyboard_active or m.owner_cpu >= 0.1
-                ) else 0.0,
-                min_history_days=self.lupa_min_history_days,
-                seed=self.streams.master_seed,
-                relearn_interval=self.lupa_relearn_interval,
-            )
-            gupa_stub = orb.stub(handle.gupa_ior, GUPA_INTERFACE)
-            self.loop.every(
-                self.lupa_upload_interval,
-                lambda l=lupa, g=gupa_stub, n=name: g.upload_pattern(
-                    n, l.pattern()
-                ) if l.pattern() is not None else None,
-            )
-
-        segment_name = segment if segment is not None else f"{cluster}-lan"
-        if segment_name not in handle.network.segments:
-            handle.network.add_segment(segment_name)
-        handle.network.place(name, segment_name)
-
-        node = NodeHandle(
-            name, cluster, workstation, lrm, ncc, orb,
-            lrm_ref.to_string(), lupa, dedicated,
-        )
-        handle.nodes[name] = node
-        self._bind_node_metrics(node)
-        self._bind_node_journal(node)
-        return node
 
     def add_trace_node(
         self,
@@ -420,6 +331,20 @@ class Grid:
         workstation = TraceWorkstation(
             self.loop, name, events, spec=spec, loop_trace=loop_trace
         )
+        return self._attach_node(handle, workstation, sharing, segment,
+                                 lupa_enabled=self.lupa_enabled)
+
+    def _attach_node(
+        self,
+        handle: ClusterHandle,
+        workstation,
+        sharing: SharingPolicy,
+        segment: Optional[str],
+        lupa_enabled: bool,
+        dedicated: bool = False,
+    ) -> NodeHandle:
+        """Wire a workstation into a cluster: NCC, ORB, LRM, LUPA."""
+        name = workstation.name
         ncc = NodeControlCenter(self.loop.clock, sharing)
         orb = self._make_orb(f"{name}-orb")
         lrm = Lrm(
@@ -429,18 +354,16 @@ class Grid:
             checkpoint_store=handle.checkpoint_store,
             update_interval=self.update_interval,
             tick_interval=self.tick_interval,
-            delta_updates=self.delta_updates,
             full_refresh_every=self.full_refresh_every,
             update_epsilon=self.update_epsilon,
             max_update_interval=self.max_update_interval,
-            skip_unchanged_checkpoints=self.skip_unchanged_checkpoints,
         )
         lrm_ref = orb.activate(lrm, LRM_INTERFACE, key=f"{name}/lrm")
         grm_stub = orb.stub(handle.grm_ior, GRM_INTERFACE)
         lrm.attach_grm(grm_stub, lrm_ref.to_string())
 
         lupa = None
-        if self.lupa_enabled:
+        if lupa_enabled:
             machine = workstation.machine
             lupa = Lupa(
                 self.loop,
@@ -460,13 +383,14 @@ class Grid:
                 ) if l.pattern() is not None else None,
             )
 
+        cluster = handle.name
         segment_name = segment if segment is not None else f"{cluster}-lan"
         if segment_name not in handle.network.segments:
             handle.network.add_segment(segment_name)
         handle.network.place(name, segment_name)
         node = NodeHandle(
             name, cluster, workstation, lrm, ncc, orb,
-            lrm_ref.to_string(), lupa, False,
+            lrm_ref.to_string(), lupa, dedicated,
         )
         handle.nodes[name] = node
         self._bind_node_metrics(node)
@@ -501,17 +425,14 @@ class Grid:
         handle.gupa.forget(name)
         node.orb.shutdown()
 
-    def _parent_stale_after(self) -> Optional[float]:
-        """Summary-staleness window for parents, or None (seed: no sweep).
+    def _parent_stale_after(self) -> float:
+        """Summary-staleness window for parents.
 
-        Only armed in delta-uplink mode, where heartbeat suppression makes
-        "no summary for a while" meaningful: a healthy throttled child
-        still heartbeats at ``max_summary_interval`` at the slowest, so
-        the window keys off that cadence (same reasoning as the GRM's
-        node staleness in :meth:`_slowest_healthy_interval`).
+        A healthy throttled child still heartbeats at
+        ``max_summary_interval`` at the slowest, so the window keys off
+        that cadence (same reasoning as the GRM's node staleness in
+        :meth:`_slowest_healthy_interval`).
         """
-        if not self.delta_uplinks:
-            return None
         from repro.core.hierarchy import DEFAULT_SUMMARY_STALE_FACTOR
         slowest = self.summary_interval
         if self.max_summary_interval is not None:
@@ -519,7 +440,7 @@ class Grid:
         return slowest * DEFAULT_SUMMARY_STALE_FACTOR
 
     def _make_parent(self, parent_name: str):
-        """Create a ParentGrm on its own ORB, wired to the grid's flags.
+        """Create a ParentGrm on its own ORB.
 
         The servant is activated under both the ParentGrm interface (for
         children) and the GRM facade interface (so a higher-level parent
@@ -538,8 +459,6 @@ class Grid:
         orb = self._make_orb(f"{parent_name}-orb")
         parent = ParentGrm(
             self.loop, orb, name=parent_name,
-            incremental_aggregation=self.incremental_summaries,
-            indexed_placement=self.indexed_placement,
             stale_after=self._parent_stale_after(),
         )
         parent_ior = orb.activate(
@@ -556,7 +475,7 @@ class Grid:
         return parent, parent_ior, facade_ior
 
     def _make_uplink(self, handle: ClusterHandle, parent_ior: str):
-        """Connect one cluster's GRM to a parent, honouring the flags."""
+        """Connect one cluster's GRM to a parent."""
         from repro.core.hierarchy import ClusterUplink
         from repro.core.protocols import PARENT_GRM_INTERFACE
 
@@ -564,7 +483,6 @@ class Grid:
         return ClusterUplink(
             self.loop, handle.grm, stub, handle.grm_ior,
             interval=self.summary_interval,
-            delta=self.delta_uplinks,
             full_refresh_every=self.summary_refresh_every,
             epsilon=self.summary_epsilon,
             max_interval=self.max_summary_interval,
@@ -590,10 +508,9 @@ class Grid:
                 {"root": ["hq", {"campus": ["lab-a", "lab-b"]}]}
             )
 
-        Every parent honours the grid's wide-area flags.  Sub-parents
-        join their parent through the GRM facade (they look like one big
-        cluster from above), streaming delta summaries when
-        ``delta_uplinks`` is on.  Returns ``(parents, uplinks)`` where
+        Sub-parents join their parent through the GRM facade (they look
+        like one big cluster from above), streaming delta summaries like
+        every cluster uplink.  Returns ``(parents, uplinks)`` where
         ``parents`` maps each parent name to its :class:`ParentGrm`.
         """
         from repro.core.protocols import PARENT_GRM_INTERFACE
@@ -621,7 +538,6 @@ class Grid:
                     sub.attach_parent(
                         stub, sub_facade_ior,
                         interval=self.summary_interval,
-                        delta=self.delta_uplinks,
                         full_refresh_every=self.summary_refresh_every,
                         epsilon=self.summary_epsilon,
                         max_interval=self.max_summary_interval,
@@ -727,16 +643,6 @@ class Grid:
         self.metrics = registry
         self.loop.to_metrics(registry)
         registry.view("orb.totals", self.protocol_stats)
-        # Oneway-batching counters (all zero unless batch_oneway is on).
-        for view_name, attr in (
-            ("orb.batch.frames", "batch_frames"),
-            ("orb.batch.calls", "batch_calls"),
-            ("orb.batch.bytes_saved", "batch_bytes_saved"),
-        ):
-            registry.view(
-                view_name,
-                lambda a=attr: sum(getattr(o, a) for o in self._orbs),
-            )
         for orb in self._orbs:
             orb.to_metrics(registry)
         for handle in self.clusters.values():
@@ -753,8 +659,7 @@ class Grid:
                            "refused_reservations",
                            "accepted_reservations", "updates_sent",
                            "updates_full", "updates_delta",
-                           "updates_suppressed", "updates_bytes_saved",
-                           "sandbox_violations"):
+                           "updates_suppressed", "sandbox_violations"):
             registry.view(
                 f"lrm.total.{field_name}",
                 lambda f=field_name: sum(
@@ -767,7 +672,6 @@ class Grid:
         for name, field_name in (
             ("lrm.updates.delta", "updates_delta"),
             ("lrm.updates.suppressed", "updates_suppressed"),
-            ("lrm.updates.bytes_saved", "updates_bytes_saved"),
         ):
             registry.view(
                 name,
@@ -885,17 +789,15 @@ class Grid:
     # -- metrics -----------------------------------------------------------------------
 
     def protocol_stats(self) -> dict:
-        """Aggregated ORB traffic across every node and manager."""
+        """Aggregated ORB traffic over every ORB this grid ever built:
+        managers, nodes (including departed ones), parents and ASCTs,
+        so the totals never go backwards."""
         totals = {
             "requests_sent": 0, "replies_received": 0,
             "requests_received": 0, "bytes_sent": 0, "bytes_received": 0,
             "requests_handled": 0,
         }
-        orbs = []
-        for handle in self.clusters.values():
-            orbs.append(handle.orb)
-            orbs.extend(n.orb for n in handle.nodes.values())
-        for orb in orbs:
+        for orb in self._orbs:
             for key, value in orb.stats().items():
                 totals[key] += value
         return totals

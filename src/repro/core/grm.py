@@ -97,7 +97,6 @@ class Grm:
         reservation_lease: float = DEFAULT_RESERVATION_LEASE,
         max_negotiations: int = DEFAULT_MAX_NEGOTIATIONS,
         update_interval_hint: float = 60.0,
-        batched_ingest: bool = False,
     ):
         self._loop = loop
         self._orb = orb
@@ -125,7 +124,6 @@ class Grm:
         self._summary_cache: Optional[tuple] = None
         #: Batched ingestion: updates mark their node dirty here and the
         #: Trader is brought up to date in one pass before the next query.
-        self._batched_ingest = batched_ingest
         self._dirty: dict[str, NodeRecord] = {}
         #: Staleness sweep state: (expiry, seq, record) entries, one live
         #: entry per record, re-armed lazily as sweeps find fresh nodes.
@@ -281,12 +279,7 @@ class Grm:
         record.last_seen = self._loop.now
         record.alive = True
         self._summary_epoch += 1
-        if self._batched_ingest:
-            self._dirty[record.node] = record
-        else:
-            # The decoded update dict is never touched again: let the trader
-            # adopt it instead of copying (it also backs last_status, read-only).
-            self.trader.modify(record.offer_id, status, copy=False)
+        self._dirty[record.node] = record
         self.stats.updates_received += 1
 
     def _ingest_delta(self, node: str, delta: dict) -> None:
@@ -304,16 +297,12 @@ class Grm:
         record.last_seen = self._loop.now
         record.alive = True
         self._summary_epoch += 1
-        if self._batched_ingest:
-            self._dirty[node] = record
-        else:
-            # Only the changed fields touch the Trader's indexes.
-            self.trader.patch(record.offer_id, delta)
+        self._dirty[node] = record
         self.stats.updates_received += 1
         self.stats.deltas_received += 1
 
     def flush_updates(self) -> None:
-        """Bring the Trader up to date with every dirty node (batched mode).
+        """Bring the Trader up to date with every dirty node.
 
         Coalesces however many updates arrived since the last query into
         one ``modify`` per node; the flushed state is each record's

@@ -7,25 +7,24 @@ grid to encompass millions of machines" (Section 4).  A
 cluster could not, implementing the wide-area extension of the resource
 management protocols (Marques & Kon 2002).
 
-Scaling the wide-area plane (all opt-in, seed behaviour is the default):
+How the wide-area plane scales:
 
-* **Incremental aggregation** — with ``incremental_aggregation=True``
-  the parent maintains running totals (and a sorted multiset for the
-  max) updated in O(1)/O(log C) per summary, so :meth:`aggregate_summary`
-  stops recomputing O(children) sums on every uplink heartbeat.
-  :meth:`aggregate_oracle` keeps the seed recompute as the equivalence
-  oracle.
-* **Indexed placement** — with ``indexed_placement=True`` candidate
-  selection walks a free-CPU-ordered index maintained on summary
-  arrival instead of scanning and sorting every child per submit; the
-  walk stops at the first child that provably cannot host the job
-  (the index is ordered by the one monotone criterion), so submit cost
-  is O(answers + log C), and clusters whose aggregate cannot host the
-  job are skipped before any remote round-trip.  Candidate order is
-  bit-identical to the seed :meth:`_rank_candidates` sort (stable on
-  registration order within free-CPU ties).
+* **Incremental aggregation** — the parent maintains running totals
+  (and a sorted multiset for the max) updated in O(1)/O(log C) per
+  summary, so :meth:`ParentGrm.aggregate_summary` never recomputes
+  O(children) sums on an uplink heartbeat.  :meth:`aggregate_oracle`
+  keeps the seed recompute as the equivalence oracle.
+* **Indexed placement** — candidate selection walks a free-CPU-ordered
+  index maintained on summary arrival instead of scanning and sorting
+  every child per submit; the walk stops at the first child that
+  provably cannot host the job (the index is ordered by the one
+  monotone criterion), so submit cost is O(answers + log C), and
+  clusters whose aggregate cannot host the job are skipped before any
+  remote round-trip.  Candidate order is bit-identical to the seed
+  :meth:`_rank_candidates` sort (stable on registration order within
+  free-CPU ties), kept as the placement-order oracle.
 * **Delta uplinks** — :class:`ClusterUplink` and
-  :meth:`ParentGrm.attach_parent` can stream changed-field deltas with
+  :meth:`ParentGrm.attach_parent` stream changed-field deltas with
   adaptive throttling (reusing
   :class:`~repro.core.update_protocol.DeltaSender`), and a parent given
   ``stale_after`` sweeps a ``(expiry, seq)`` min-heap to demote children
@@ -125,8 +124,6 @@ class ParentGrm:
         loop: EventLoop,
         orb: Orb,
         name: str = "parent",
-        incremental_aggregation: bool = False,
-        indexed_placement: bool = False,
         stale_after: Optional[float] = None,
     ):
         self._loop = loop
@@ -144,22 +141,19 @@ class ParentGrm:
         self.remote_rejections = 0
         self.upward_forwards = 0
         self.clusters_declared_stale = 0
-        #: Placement accounting (indexed mode): children admitted to the
+        #: Placement accounting: children admitted to the
         #: candidate list, children pruned before any remote round-trip,
         #: and submissions escalated to our own parent.
         self.placements_admitted = 0
         self.placements_skipped_by_index = 0
         self.placements_escalated = 0
-        #: Parent-as-child uplink accounting (delta-mode attach_parent).
+        #: Parent-as-child uplink accounting (attach_parent).
         self.uplink_full = 0
         self.uplink_delta = 0
         self.uplink_suppressed = 0
         #: Optional observability hooks; None keeps the seed hot paths.
         self.journal = None
         self._submit_hist = None
-        #: Wide-area scaling switches (defaults preserve seed behaviour).
-        self._incremental = incremental_aggregation
-        self._indexed = indexed_placement
         self._stale_after = stale_after
         #: Incremental aggregation state: running totals plus a sorted
         #: multiset of each live child's max_node_mips.
@@ -480,8 +474,6 @@ class ParentGrm:
 
     def aggregate_summary(self) -> dict:
         """This subtree, summarised as if it were one big cluster."""
-        if not self._incremental:
-            return self.aggregate_oracle()
         totals = self._totals
         return {
             "cluster": self.name,
@@ -500,35 +492,23 @@ class ParentGrm:
         own_grm_facade_ior: str,
         loop: Optional[EventLoop] = None,
         interval: float = DEFAULT_SUMMARY_INTERVAL,
-        delta: bool = False,
         full_refresh_every: int = DEFAULT_FULL_REFRESH_EVERY,
         epsilon: float = 0.0,
         max_interval: Optional[float] = None,
     ) -> None:
         """Join a higher-level ParentGrm as one of its 'clusters'.
 
-        With ``delta=True`` the upward stream reuses the information
-        plane's :class:`DeltaSender`: changed-fields deltas, heartbeat
+        The upward stream reuses the information plane's
+        :class:`DeltaSender`: changed-fields deltas, heartbeat
         suppression while idle (the interval stretches up to
         ``max_interval``), and an unconditional full refresh every
-        ``full_refresh_every`` sends as the drop-resync bound.
-
-        Summary uplinks are oneway, so on a Grid built with
-        ``batch_oneway=True`` the ORB coalesces the uplinks every
-        cluster fires in the same interval into one frame per parent
-        at the event-boundary flush — the federation wire carries
-        O(parents) frames per interval, not O(clusters).
+        ``full_refresh_every`` sends as the drop-resync bound
+        (``full_refresh_every=1`` sends a full summary every interval).
         """
         self._parent = parent_stub
         summary = self.aggregate_summary()
         parent_stub.register_cluster(summary, own_grm_facade_ior)
         driver = loop if loop is not None else self._loop
-        if not delta:
-            driver.every(
-                interval,
-                lambda: parent_stub.send_summary(self.aggregate_summary()),
-            )
-            return
         sender = DeltaSender(
             interval,
             full_refresh_every=full_refresh_every,
@@ -577,46 +557,41 @@ class ParentGrm:
                     reason="summaries resumed",
                 )
             return
-        if self._incremental:
-            totals = self._totals
-            for key in _SUM_FIELDS:
-                delta = summary[key] - old[key]
-                if delta:
-                    totals[key] += delta
-            old_mips = old["max_node_mips"]
-            new_mips = summary["max_node_mips"]
-            if new_mips != old_mips:
-                del self._mips[bisect_left(self._mips, old_mips)]
-                insort(self._mips, new_mips)
-        if self._indexed:
-            key = (-summary["free_cpu_total"], record.seq)
-            if key != record.index_key:
-                self._index_remove(record)
-                record.index_key = key
-                insort(self._index, key + (record,))
+        totals = self._totals
+        for key in _SUM_FIELDS:
+            delta = summary[key] - old[key]
+            if delta:
+                totals[key] += delta
+        old_mips = old["max_node_mips"]
+        new_mips = summary["max_node_mips"]
+        if new_mips != old_mips:
+            del self._mips[bisect_left(self._mips, old_mips)]
+            insort(self._mips, new_mips)
+        key = (-summary["free_cpu_total"], record.seq)
+        if key != record.index_key:
+            self._index_remove(record)
+            record.index_key = key
+            insort(self._index, key + (record,))
 
     def _admit(self, record: ClusterRecord) -> None:
         """Fold a (re)registered child into totals and the index."""
         summary = record.summary
-        if self._incremental:
-            totals = self._totals
-            for key in _SUM_FIELDS:
-                totals[key] += summary[key]
-            insort(self._mips, summary["max_node_mips"])
-        if self._indexed:
-            record.index_key = (-summary["free_cpu_total"], record.seq)
-            insort(self._index, record.index_key + (record,))
+        totals = self._totals
+        for key in _SUM_FIELDS:
+            totals[key] += summary[key]
+        insort(self._mips, summary["max_node_mips"])
+        record.index_key = (-summary["free_cpu_total"], record.seq)
+        insort(self._index, record.index_key + (record,))
 
     def _retire(self, record: ClusterRecord) -> None:
         """Remove a child's contribution from totals and the index."""
         if not record.alive:
             return
         summary = record.summary
-        if self._incremental:
-            totals = self._totals
-            for key in _SUM_FIELDS:
-                totals[key] -= summary[key]
-            del self._mips[bisect_left(self._mips, summary["max_node_mips"])]
+        totals = self._totals
+        for key in _SUM_FIELDS:
+            totals[key] -= summary[key]
+        del self._mips[bisect_left(self._mips, summary["max_node_mips"])]
         self._index_remove(record)
 
     def _index_remove(self, record: ClusterRecord) -> None:
@@ -665,16 +640,13 @@ class ParentGrm:
     # -- selection -----------------------------------------------------------------
 
     def _candidates(self, spec_dict: dict, origin: str) -> list:
-        """Eligible children, best-first, via the index or the seed scan."""
-        if self._indexed:
-            reqs = spec_dict.get("requirements") or {}
-            tasks = spec_dict.get("tasks", 1)
-            needed_cpu = tasks * reqs.get("cpu_fraction", 1.0)
-            return self._indexed_candidates(
-                needed_cpu, tasks, reqs.get("min_mips", 0.0), origin
-            )
-        parsed = ApplicationSpec.from_dict(spec_dict)
-        return self._rank_candidates(parsed, origin)
+        """Eligible children, best-first, via the placement index."""
+        reqs = spec_dict.get("requirements") or {}
+        tasks = spec_dict.get("tasks", 1)
+        needed_cpu = tasks * reqs.get("cpu_fraction", 1.0)
+        return self._indexed_candidates(
+            needed_cpu, tasks, reqs.get("min_mips", 0.0), origin
+        )
 
     def _indexed_candidates(
         self,
@@ -744,11 +716,11 @@ class ParentGrm:
 class ClusterUplink:
     """The child side: registers with the parent and streams summaries.
 
-    ``delta=True`` switches the stream to the information plane's update
-    protocol: a full snapshot at registration, changed-fields deltas
-    after, time-only heartbeats while nothing changes (at a geometrically
-    stretched cadence, up to ``max_interval``), and an unconditional full
-    refresh every ``full_refresh_every`` sends as the resync bound.
+    The stream follows the information plane's update protocol: a full
+    snapshot at registration, changed-fields deltas after, time-only
+    heartbeats while nothing changes (at a geometrically stretched
+    cadence, up to ``max_interval``), and an unconditional full refresh
+    every ``full_refresh_every`` sends as the resync bound.
     """
 
     def __init__(
@@ -758,7 +730,6 @@ class ClusterUplink:
         parent_stub,
         grm_ior: str,
         interval: float = DEFAULT_SUMMARY_INTERVAL,
-        delta: bool = False,
         full_refresh_every: int = DEFAULT_FULL_REFRESH_EVERY,
         epsilon: float = 0.0,
         max_interval: Optional[float] = None,
@@ -773,26 +744,17 @@ class ClusterUplink:
         self.summaries_full = 0
         self.summaries_delta = 0
         self.summaries_suppressed = 0
-        if delta:
-            self._delta = DeltaSender(
-                interval,
-                full_refresh_every=full_refresh_every,
-                epsilon=epsilon,
-                max_interval=max_interval,
-            )
-            self._delta.register(summary)
-            # Adaptive cadence: one-shot rescheduling at whatever interval
-            # the encoder chose (stretched while idle, snapped back on
-            # change) — the same drive the LRM uses for node updates.
-            self._task = loop.schedule(self._delta.current_interval,
-                                       self._fire)
-        else:
-            self._delta = None
-            self._task = loop.every(interval, self._send)
-
-    def _send(self) -> None:
-        self._parent.send_summary(self._grm.cluster_summary())
-        self.summaries_sent += 1
+        self._delta = DeltaSender(
+            interval,
+            full_refresh_every=full_refresh_every,
+            epsilon=epsilon,
+            max_interval=max_interval,
+        )
+        self._delta.register(summary)
+        # Adaptive cadence: one-shot rescheduling at whatever interval
+        # the encoder chose (stretched while idle, snapped back on
+        # change).
+        self._task = loop.schedule(self._delta.current_interval, self._fire)
 
     def _fire(self) -> None:
         summary = self._grm.cluster_summary()
@@ -811,7 +773,4 @@ class ClusterUplink:
                                          self._fire)
 
     def stop(self) -> None:
-        if self._delta is not None:
-            self._task.cancel()
-        else:
-            self._task.stop()
+        self._task.cancel()

@@ -17,7 +17,6 @@ from typing import Optional
 
 from repro.checkpoint.store import MemoryCheckpointStore
 from repro.core.ncc import NodeControlCenter
-from repro.core.protocols import NODE_STATUS
 from repro.core.reservation import ReservationLedger
 from repro.core.update_protocol import (
     DEFAULT_FULL_REFRESH_EVERY,
@@ -25,7 +24,6 @@ from repro.core.update_protocol import (
     DeltaSender,
     FULL,
 )
-from repro.orb.cdr import CdrEncoder, VARIANT
 from repro.security.sandbox import Sandbox, SandboxPolicy, SandboxViolation
 from repro.sim.events import EventLoop
 from repro.sim.workstation import Workstation
@@ -73,11 +71,9 @@ class Lrm:
         update_interval: float = DEFAULT_UPDATE_INTERVAL,
         tick_interval: float = DEFAULT_TICK_INTERVAL,
         sandbox_policy: Optional[SandboxPolicy] = None,
-        delta_updates: bool = False,
         full_refresh_every: int = DEFAULT_FULL_REFRESH_EVERY,
         update_epsilon: float = 0.0,
         max_update_interval: Optional[float] = None,
-        skip_unchanged_checkpoints: bool = False,
     ):
         self._loop = loop
         self._workstation = workstation
@@ -95,7 +91,6 @@ class Lrm:
         self._grm = None           # stub once attached
         self.ior: Optional[str] = None
 
-        self.skip_unchanged_checkpoints = skip_unchanged_checkpoints
         self.completed_count = 0
         self.evicted_count = 0
         self.checkpoints_taken = 0
@@ -106,24 +101,16 @@ class Lrm:
         self.updates_full = 0
         self.updates_delta = 0
         self.updates_suppressed = 0
-        self.updates_bytes_saved = 0
 
         workstation.on_owner_change(self._owner_changed)
         self._tick_task = loop.every(tick_interval, self._tick)
-        self._update_interval = update_interval
         self._update_task = None
-        self.delta_updates = delta_updates
-        self._delta = (
-            DeltaSender(
-                update_interval,
-                full_refresh_every=full_refresh_every,
-                epsilon=update_epsilon,
-                max_interval=max_update_interval,
-            )
-            if delta_updates else None
+        self._delta = DeltaSender(
+            update_interval,
+            full_refresh_every=full_refresh_every,
+            epsilon=update_epsilon,
+            max_interval=max_update_interval,
         )
-        self._grm_key = ""
-        self._full_wire_bytes = 0
 
     # -- wiring ----------------------------------------------------------------
 
@@ -135,8 +122,7 @@ class Lrm:
             "checkpoints_skipped",
             "refused_reservations", "accepted_reservations",
             "updates_sent", "updates_full", "updates_delta",
-            "updates_suppressed", "updates_bytes_saved",
-            "sandbox_violations",
+            "updates_suppressed", "sandbox_violations",
         ))
         registry.view(f"{prefix}.running_tasks", lambda: len(self._running))
 
@@ -151,33 +137,24 @@ class Lrm:
         self.ior = own_ior
         status = self.status()
         grm_stub.register_node(status, own_ior)
-        if self._delta is not None:
-            # The registration snapshot is the receiver's baseline; later
-            # sends encode against it.  Delta mode drives its own adaptive
-            # one-shot rescheduling (the interval changes per send), so it
-            # cannot reuse the fixed-cadence PeriodicTask.
-            self._delta.register(status)
-            ref = getattr(grm_stub, "ref", None)
-            self._grm_key = ref.key if ref is not None else ""
-            self._full_wire_bytes = self._wire_size_full(status)
-            if self._update_task is None:
-                self._update_task = self._loop.schedule(
-                    self._delta.current_interval, self._fire_update
-                )
-        elif self._update_task is None:
+        # The registration snapshot is the receiver's baseline; later
+        # sends encode against it.
+        self._delta.register(status)
+        if self._update_task is None:
             self._update_task = self._loop.every(
-                self._update_interval, self._send_update
+                self._delta.current_interval, self._fire_update
             )
+
+    def stop_updates(self) -> None:
+        """Stop sending status updates (the node goes silent to its GRM)."""
+        if self._update_task is not None:
+            self._update_task.stop()
+            self._update_task = None
 
     def detach(self) -> None:
         """Leave the grid: stop timers and evict everything."""
         self._tick_task.stop()
-        if self._update_task is not None:
-            if self._delta is not None:
-                self._update_task.cancel()
-            else:
-                self._update_task.stop()
-            self._update_task = None
+        self.stop_updates()
         for task_id in list(self._running):
             self._evict(task_id, reason="node leaving the grid")
 
@@ -220,26 +197,14 @@ class Lrm:
         return True
 
     def _send_update(self) -> None:
-        # send_update/send_delta are oneway: on a Grid built with
-        # batch_oneway=True the ORB queues them per peer and flushes at
-        # the sim-event boundary, so a cluster's worth of updates firing
-        # in the same interval rides O(LRMs) frames, not O(updates).
         if self._grm is None:
             return
-        if self._delta is None:
-            self._grm.send_update(self.status())
-            self.updates_sent += 1
-            return
-        status = self.status()
-        kind, payload = self._delta.encode(status)
+        kind, payload = self._delta.encode(self.status())
         if kind == FULL:
             self._grm.send_update(payload)
             self.updates_full += 1
         else:
             self._grm.send_delta(self.node, payload)
-            saved = self._full_wire_bytes - self._wire_size_delta(payload)
-            if saved > 0:
-                self.updates_bytes_saved += saved
             if kind == DELTA:
                 self.updates_delta += 1
             else:
@@ -247,29 +212,11 @@ class Lrm:
         self.updates_sent += 1
 
     def _fire_update(self) -> None:
-        """Adaptive-cadence send: one shot, rescheduled at the (possibly
+        """Periodic send; the next one comes after the (possibly
         stretched or snapped-back) interval the encoder just chose."""
         self._send_update()
-        self._update_task = self._loop.schedule(
-            self._delta.current_interval, self._fire_update
-        )
-
-    def _wire_size_full(self, status: dict) -> int:
-        """Exact request-payload size of an untraced full send_update."""
-        enc = CdrEncoder()
-        enc.write_string(self._grm_key)
-        enc.write_string("send_update")
-        NODE_STATUS.encode(enc, status)
-        return len(enc.getvalue())
-
-    def _wire_size_delta(self, payload: dict) -> int:
-        """Exact request-payload size of an untraced send_delta."""
-        enc = CdrEncoder()
-        enc.write_string(self._grm_key)
-        enc.write_string("send_delta")
-        enc.write_string(self.node)
-        VARIANT.encode(enc, payload)
-        return len(enc.getvalue())
+        if self._update_task is not None:
+            self._update_task.interval = self._delta.current_interval
 
     # -- Reservation and Execution Protocol -------------------------------------------
 
@@ -432,8 +379,7 @@ class Lrm:
                     self._grm.task_reached_limit(self.node, task_id)
 
     def _checkpoint(self, record: RunningTask, now: float) -> None:
-        if self.skip_unchanged_checkpoints \
-                and record.progress_mips == record.checkpoint_progress:
+        if record.progress_mips == record.checkpoint_progress:
             # The task made no progress since the last save (suspended
             # while the owner uses the machine): the stored checkpoint
             # is already current, so skip the serialize-and-store cycle

@@ -13,6 +13,7 @@ from repro.orb.cdr import (
     Boolean,
     Double,
     Long,
+    SparseStruct,
     String,
     Struct,
     VARIANT,
@@ -147,11 +148,13 @@ GRM_INTERFACE = InterfaceDef(
         ),
         # Delta-compressed form of the Information Update Protocol: only
         # the fields that changed since the node's last accepted update
-        # (plus "time") travel.  The delta's keys vary per message, so it
-        # rides as a VARIANT rather than a fixed NODE_STATUS struct.
+        # (plus "time") travel, as a presence mask over NODE_STATUS.
         Operation(
             "send_delta",
-            (Parameter("node", String), Parameter("delta", VARIANT)),
+            (
+                Parameter("node", String),
+                Parameter("delta", SparseStruct(NODE_STATUS)),
+            ),
             Void,
             oneway=True,
         ),
@@ -254,11 +257,13 @@ PARENT_GRM_INTERFACE = InterfaceDef(
         ),
         # Delta-compressed summary stream: only the fields that changed
         # since the cluster's last accepted summary (plus "time") travel.
-        # Same shape as the node-level send_delta — the keys vary per
-        # message, so the payload rides as a VARIANT.
+        # Same shape as the node-level send_delta.
         Operation(
             "send_summary_delta",
-            (Parameter("cluster", String), Parameter("delta", VARIANT)),
+            (
+                Parameter("cluster", String),
+                Parameter("delta", SparseStruct(CLUSTER_SUMMARY)),
+            ),
             Void,
             oneway=True,
         ),

@@ -19,11 +19,8 @@ makes both knobs cheap:
 The machine is deliberately free of any ORB or event-loop coupling:
 :class:`~repro.core.lrm.Lrm` drives one instance per node, and the S3
 benchmark drives tens of thousands without building full node stacks.
-The payloads it produces travel as oneway requests, so they compose
-with the ORB's transport-level oneway batching (``batch_oneway=True``):
-deltas shrink each message, throttling sheds messages, and batching
-collapses what remains into one frame per peer per event-boundary
-flush — three independent multipliers on the same wire.
+With ``full_refresh_every=1`` every send is a full snapshot: the
+paper's protocol, unchanged.
 
 The ``"time"`` field is special: it changes every interval by
 definition, so it never *triggers* an update, but every payload carries
@@ -134,35 +131,43 @@ class DeltaSender:
         baseline = self._baseline
         if baseline is None:
             raise RuntimeError("register() must seed the baseline before encode()")
-        changed = self._changed_fields(status, baseline)
+        self._sends_since_full += 1
+        # A key vanishing from the status cannot be expressed as a delta
+        # (deltas only set fields); fall back to a resynchronising full.
+        full = (
+            self._sends_since_full >= self.full_refresh_every
+            or not baseline.keys() <= status.keys()
+        )
+        if full and self.max_interval == self.base_interval:
+            # Every field goes and there is no cadence to adapt.
+            return self._send_full(status)
+        # The volatile fields ride every send and never trigger one.
+        volatile = {key: status[key] for key in _ALWAYS_VOLATILE if key in status}
+        baseline.update(volatile)
+        # Comparing whole dicts first skips the per-field loop on the
+        # usual idle interval, where nothing moved at all.
+        changed = (
+            {} if status == baseline
+            else self._changed_fields(status, baseline)
+        )
         if changed:
             self.current_interval = self.base_interval
         else:
             self.current_interval = min(
                 self.current_interval * self.backoff, self.max_interval
             )
-        self._sends_since_full += 1
-        # A key vanishing from the status cannot be expressed as a delta
-        # (deltas only set fields); fall back to a resynchronising full.
-        removed = any(key not in status for key in baseline)
-        if removed or self._sends_since_full >= self.full_refresh_every:
-            self._baseline = dict(status)
-            self._sends_since_full = 0
-            return FULL, status
-        for key in _ALWAYS_VOLATILE:
-            if key in status:
-                baseline[key] = status[key]
+        if full:
+            return self._send_full(status)
         if not changed:
-            payload = {
-                key: status[key] for key in _ALWAYS_VOLATILE if key in status
-            }
-            return HEARTBEAT, payload
+            return HEARTBEAT, volatile
         baseline.update(changed)
-        delta = dict(changed)
-        for key in _ALWAYS_VOLATILE:
-            if key in status:
-                delta[key] = status[key]
-        return DELTA, delta
+        changed.update(volatile)
+        return DELTA, changed
+
+    def _send_full(self, status: dict):
+        self._baseline = dict(status)
+        self._sends_since_full = 0
+        return FULL, status
 
     def _changed_fields(self, status: dict, baseline: dict) -> dict:
         """Fields whose value moved past epsilon since the last send."""

@@ -20,10 +20,8 @@ The wire format is bit-identical to the naive field-at-a-time encoder.
 
 Zero-copy decode: :class:`CdrDecoder` reads from ``bytes``/``bytearray``
 /``memoryview`` buffers alike; ``zero_copy=True`` additionally makes
-``read_octets`` return copy-free ``memoryview`` slices.  On the encode
-side, :func:`acquire_encoder`/:func:`release_encoder` pool encoders so
-hot paths reuse one bytearray allocation per message.  Neither changes
-a single wire byte.
+``read_octets`` return copy-free ``memoryview`` slices (the ORB decodes
+every request that way).  Decoded values are equal either way.
 """
 
 import struct as _struct
@@ -49,11 +47,6 @@ class CdrEncoder:
 
     def __init__(self):
         self._buf = bytearray()
-
-    def reset(self) -> None:
-        """Empty the buffer so the encoder (and its allocation) can be
-        reused for another message; see :func:`acquire_encoder`."""
-        del self._buf[:]
 
     def align(self, boundary: int) -> None:
         remainder = len(self._buf) % boundary
@@ -129,50 +122,24 @@ class CdrEncoder:
         return len(self._buf)
 
 
-# A small free-list of encoders so hot paths can reuse the underlying
-# bytearray allocation instead of building a fresh one per message.
-# list.append/list.pop are atomic under the GIL, so no lock is needed.
-# ``getvalue()`` copies, so a released encoder never aliases a payload.
-_ENCODER_POOL: list = []
-_ENCODER_POOL_MAX = 16
-
-
-def acquire_encoder() -> CdrEncoder:
-    """A cleared :class:`CdrEncoder`, reusing a pooled one when available."""
-    try:
-        enc = _ENCODER_POOL.pop()
-    except IndexError:
-        return CdrEncoder()
-    enc.reset()
-    return enc
-
-
-def release_encoder(enc: CdrEncoder) -> None:
-    """Return an encoder to the pool (dropped when the pool is full)."""
-    if len(_ENCODER_POOL) < _ENCODER_POOL_MAX:
-        _ENCODER_POOL.append(enc)
-
-
 class CdrDecoder:
     """Aligned binary reader matching :class:`CdrEncoder`.
 
     Accepts ``bytes``, ``bytearray``, or ``memoryview`` buffers; every
     primitive reads straight out of the buffer with ``unpack_from``.
-    With ``zero_copy=True`` the buffer is wrapped in a ``memoryview``
-    once and :meth:`read_octets` returns copy-free slices of it (the
-    caller must not outlive or mutate the backing buffer); string
-    decoding also goes through the view, so the slice before UTF-8
-    decoding never materialises an intermediate ``bytes``.  Decoded
+    With ``zero_copy=True`` :meth:`read_octets` returns copy-free
+    ``memoryview`` slices of the buffer (the caller must not outlive or
+    mutate the backing buffer); the view is made on the first octet
+    read, so messages without octets pay nothing for it.  Decoded
     *values* are identical either way except for the octet slices'
     type (``memoryview`` instead of ``bytes``, equal by content).
     """
 
     def __init__(self, data, zero_copy: bool = False):
-        if zero_copy and not isinstance(data, memoryview):
-            data = memoryview(data)
         self._data = data
         self._pos = 0
         self._zero_copy = zero_copy
+        self._view = None
 
     def align(self, boundary: int) -> None:
         remainder = self._pos % boundary
@@ -248,11 +215,14 @@ class CdrDecoder:
         end = self._pos + length
         if end > len(self._data):
             raise MarshalError("buffer underrun reading octet sequence")
-        raw = self._data[self._pos:end]
+        start = self._pos
         self._pos = end
         if self._zero_copy:
-            return raw
-        return bytes(raw)
+            view = self._view
+            if view is None:
+                view = self._view = memoryview(self._data)
+            return view[start:end]
+        return bytes(self._data[start:end])
 
     @property
     def remaining(self) -> int:
@@ -632,6 +602,54 @@ class Struct(IdlType):
         return result
 
 
+class SparseStruct(IdlType):
+    """Any subset of a :class:`Struct`'s fields; values are plain dicts.
+
+    A ulong presence mask (bit ``i`` = field ``i``) precedes the present
+    fields, which marshal in declaration order exactly as a struct of
+    just those fields would: no per-field tags or key strings.  Each
+    distinct subset compiles its fused plan once.
+    """
+
+    def __init__(self, struct: Struct):
+        if len(struct.fields) > 32:
+            raise ValueError(f"struct {struct.name!r} has over 32 fields")
+        self.name = f"sparse<{struct.name}>"
+        self._fields = struct.fields
+        self._bits = {
+            fname: 1 << i for i, (fname, _t) in enumerate(struct.fields)
+        }
+        self._subsets: dict = {}
+
+    def _subset(self, mask: int) -> Struct:
+        subset = self._subsets.get(mask)
+        if subset is None:
+            if mask >> len(self._fields):
+                raise MarshalError(f"{self.name} has no field in mask {mask:#x}")
+            subset = self._subsets[mask] = Struct(self.name, [
+                field for i, field in enumerate(self._fields) if mask >> i & 1
+            ])
+        return subset
+
+    def encode(self, enc, value):
+        if not isinstance(value, dict):
+            raise MarshalError(
+                f"expected dict for {self.name}, got {type(value).__name__}"
+            )
+        bits = self._bits
+        mask = 0
+        for key in value:
+            bit = bits.get(key)
+            if bit is None:
+                raise MarshalError(f"{self.name} has no field {key!r}")
+            mask |= bit
+        enc.write_ulong(mask)
+        self._subset(mask).encode(enc, value)
+
+    def decode(self, dec):
+        return self._subset(dec.read_ulong()).decode(dec)
+
+
 class Enum(IdlType):
     """A named enum; Python-side values are the member strings."""
 
@@ -712,7 +730,9 @@ class Variant(IdlType):
         if tag == self._STRING:
             return dec.read_string()
         if tag == self._BYTES:
-            return dec.read_octets()
+            # A variant is a plain Python value, so a zero-copy slice is
+            # materialised: it must not pin the request buffer.
+            return bytes(dec.read_octets())
         if tag == self._LIST:
             count = dec.read_ulong()
             return [self.decode(dec) for _ in range(count)]

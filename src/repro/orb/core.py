@@ -18,14 +18,7 @@ from typing import Optional, Union
 
 from repro.security.auth import AuthenticationError, is_authenticated
 
-from repro.orb.cdr import (
-    CdrDecoder,
-    CdrEncoder,
-    String,
-    Struct,
-    acquire_encoder,
-    release_encoder,
-)
+from repro.orb.cdr import CdrDecoder, CdrEncoder, String, Struct
 from repro.orb.exceptions import (
     BadOperation,
     CommunicationError,
@@ -55,26 +48,6 @@ _STATUS_EXCEPTION = 1
 #: NUL, so untraced requests are byte-identical to the pre-tracing wire
 #: format and any ORB can parse (and skip) the extension.
 _TRACE_KEY = "\x00trace-ctx"
-
-#: Reserved object key heading a oneway *batch* frame (same NUL-prefix
-#: extension convention as :data:`_TRACE_KEY`).  The frame body is
-#: ``ulong count`` followed by ``count`` length-prefixed sub-requests,
-#: each a complete ordinary request payload; the receiver dispatches
-#: them in order and discards the (oneway) replies.  Batch frames are
-#: only ever sent to peers that advertised the capability, so
-#: non-batching servers never see one and the wire is byte-identical
-#: with batching off.
-_BATCH_KEY = "\x00batch"
-
-#: Modeled fixed cost of one transport invocation (framing + syscalls),
-#: the same constant the BSP comm model charges per ORB call; batching
-#: saves this once per coalesced call.  Feeds the ``orb.batch.bytes_saved``
-#: metric — a model, not a wire-byte measurement.
-_CALL_OVERHEAD_BYTES = 64
-
-#: Flush a peer's queue early once its sub-payloads exceed this many
-#: bytes, so one batch frame can never approach the transport frame cap.
-_BATCH_FLUSH_BYTES = 1 << 20
 
 
 class Stub:
@@ -135,9 +108,6 @@ class Orb:
         keyring=None,
         require_auth: bool = False,
         fast_local: bool = False,
-        batch_oneway: bool = False,
-        zero_copy_cdr: bool = False,
-        tcp_pipelined: bool = False,
     ):
         if require_auth and keyring is None:
             raise ValueError("require_auth needs a keyring to verify against")
@@ -155,10 +125,7 @@ class Orb:
         self._key_counter = itertools.count()
         self.domain.register(self.name, self)
         self._inproc = InProcTransport(self.name, self.domain)
-        self._tcp = (
-            TcpTransport(self, tcp_host, tcp_port, pipelined=tcp_pipelined)
-            if tcp else None
-        )
+        self._tcp = TcpTransport(self, tcp_host, tcp_port) if tcp else None
         self.requests_handled = 0
         self._client_interceptors: list = []
         self._server_interceptors: list = []
@@ -178,34 +145,6 @@ class Orb:
         #: Requests this ORB dispatched without touching CDR (diagnostic;
         #: deliberately not part of :meth:`stats`, whose key set is fixed).
         self.fast_local_calls = 0
-        #: Opt-in transport-level oneway batching: queue oneway requests
-        #: per (transport, address) and coalesce each queue into one
-        #: "\x00batch" frame at :meth:`flush` (the grid flushes at every
-        #: sim-event boundary).  Off (the default) leaves the wire
-        #: byte-identical to the per-call path.
-        self.batch_oneway = batch_oneway
-        #: Capability advertised to batching clients: this ORB parses
-        #: batch frames.  Conservative like the fast path — an ORB that
-        #: requires authenticated requests never advertises it, so
-        #: batches (which are never enveloped) stay off such wires.
-        self.accepts_batch = batch_oneway and not require_auth
-        #: Opt-in zero-copy CDR on the dispatch path: decode requests
-        #: through a memoryview, so octet args arrive as copy-free
-        #: slices, and reuse pooled encoders for request marshalling.
-        #: Output bytes are bit-identical either way.
-        self.zero_copy_cdr = zero_copy_cdr
-        # (transport, address) -> queued oneway payloads / their bytes.
-        self._batch_queues: dict[tuple, list] = {}
-        self._batch_pending_bytes: dict[tuple, int] = {}
-        # Called with this ORB the moment a queue becomes non-empty; the
-        # grid uses it to schedule an end-of-event flush.
-        self._batch_notify = None
-        #: Batch accounting (diagnostic, like ``fast_local_calls``):
-        #: oneway calls that rode a batch, frames actually sent, and the
-        #: modeled per-call overhead those frames avoided.
-        self.batch_calls = 0
-        self.batch_frames = 0
-        self.batch_bytes_saved = 0
 
     # -- servant side ---------------------------------------------------------
 
@@ -313,8 +252,7 @@ class Orb:
                 return target.handle_request_direct(ref.key, operation, args)
         for interceptor in self._client_interceptors:
             interceptor(ref, operation, args)
-        pooled = self.zero_copy_cdr
-        enc = acquire_encoder() if pooled else CdrEncoder()
+        enc = CdrEncoder()
         if _header is not None:
             enc._buf.extend(_header)
         else:
@@ -323,10 +261,7 @@ class Orb:
             )
         for param, arg in zip(operation.params, args):
             param.idl_type.encode(enc, arg)
-        payload = enc.getvalue()
-        if pooled:
-            release_encoder(enc)
-        return self._transmit(ref, operation, payload)
+        return self._transmit(ref, operation, enc.getvalue())
 
     def _invoke_traced(self, ref: ObjectRef, operation: Operation, args: tuple):
         """Traced invoke: client span + trace-context header extension.
@@ -354,14 +289,9 @@ class Orb:
             enc.write_string(operation.name)
             for param, arg in zip(operation.params, args):
                 param.idl_type.encode(enc, arg)
-            # Traced calls never batch: the span must cover delivery,
-            # so the request goes out immediately (mirror of the fast
-            # path's "traced calls always marshal" rule).
-            return self._transmit(ref, operation, enc.getvalue(),
-                                  batchable=False)
+            return self._transmit(ref, operation, enc.getvalue())
 
-    def _transmit(self, ref: ObjectRef, operation: Operation, payload: bytes,
-                  batchable: bool = True):
+    def _transmit(self, ref: ObjectRef, operation: Operation, payload: bytes):
         """Wrap, route, send one encoded request; unmarshal the reply."""
         if self.credentials is not None:
             payload = self.credentials.wrap(payload)
@@ -370,15 +300,6 @@ class Orb:
             route = self._route(ref)
             self._route_cache[ref.endpoints] = route
         transport, address = route
-        if self.batch_oneway:
-            if (batchable and operation.oneway and self.credentials is None
-                    and transport.peer_accepts_batch(address)):
-                self._enqueue_oneway(transport, address, payload)
-                return None
-            if self._batch_queues:
-                # Per-peer ordering barrier: anything queued for this
-                # address is delivered before this request.
-                self._flush_peer(transport, address)
         reply = transport.invoke(address, payload, operation.oneway)
         if operation.oneway:
             return None
@@ -389,80 +310,6 @@ class Orb:
         exc_type = dec.read_string()
         message = dec.read_string()
         raise RemoteInvocationError(exc_type, message)
-
-    # -- oneway batching --------------------------------------------------------
-
-    def set_batch_notifier(self, callback) -> None:
-        """Call ``callback(orb)`` whenever a oneway is queued; the grid
-        registers one per ORB to drive event-boundary flushes."""
-        self._batch_notify = callback
-
-    def _enqueue_oneway(self, transport, address, payload: bytes) -> None:
-        peer = (transport, address)
-        queues = self._batch_queues
-        queue = queues.get(peer)
-        if queue is None:
-            queue = queues[peer] = []
-        queue.append(payload)
-        pending = self._batch_pending_bytes.get(peer, 0) + len(payload) + 8
-        self._batch_pending_bytes[peer] = pending
-        if pending >= _BATCH_FLUSH_BYTES:
-            self._flush_peer(transport, address)
-            return
-        notify = self._batch_notify
-        if notify is not None:
-            notify(self)
-
-    def _flush_peer(self, transport, address) -> None:
-        peer = (transport, address)
-        queue = self._batch_queues.pop(peer, None)
-        self._batch_pending_bytes.pop(peer, None)
-        if queue:
-            self._send_batch(transport, address, queue)
-
-    def flush(self) -> None:
-        """Send every queued oneway batch (a no-op when nothing is queued
-        or batching is off).
-
-        Queues are detached first, so requests enqueued *while* flushing
-        (e.g. by servants dispatched over the in-process transport) land
-        in fresh queues for the next flush.  If several peers fail, the
-        first :class:`CommunicationError` is raised after every queue has
-        been attempted.
-        """
-        queues = self._batch_queues
-        if not queues:
-            return
-        self._batch_queues = {}
-        self._batch_pending_bytes = {}
-        error = None
-        for (transport, address), payloads in queues.items():
-            try:
-                self._send_batch(transport, address, payloads)
-            except CommunicationError as exc:
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
-
-    def _send_batch(self, transport, address, payloads: list) -> None:
-        count = len(payloads)
-        self.batch_calls += count
-        self.batch_frames += 1
-        if count == 1:
-            # A lone request needs no envelope; the wire carries exactly
-            # what the per-call path would have sent.
-            transport.invoke(address, payloads[0], True)
-            return
-        enc = acquire_encoder()
-        enc.write_string(_BATCH_KEY)
-        enc.write_ulong(count)
-        for sub in payloads:
-            enc.write_octets(sub)
-        frame = enc.getvalue()
-        release_encoder(enc)
-        self.batch_bytes_saved += (count - 1) * _CALL_OVERHEAD_BYTES
-        transport.invoke(address, frame, True)
 
     def _fast_target(self, ref: ObjectRef):
         """The peer ORB to dispatch to directly, or None to marshal.
@@ -514,8 +361,8 @@ class Orb:
         try:
             self.current_principal = None
             if self.keyring is not None:
-                # Auth envelopes are inspected as bytes; zero-copy batch
-                # sub-payloads arrive as memoryviews, so materialise.
+                # Auth envelopes are inspected as bytes; TCP payloads
+                # arrive as memoryviews, so materialise.
                 if not isinstance(payload, (bytes, bytearray)):
                     payload = bytes(payload)
                 if is_authenticated(payload):
@@ -529,22 +376,12 @@ class Orb:
                 raise AuthenticationError(
                     "this ORB only accepts authenticated requests"
                 )
-            dec = CdrDecoder(payload, zero_copy=self.zero_copy_cdr)
+            # Zero-copy decode: octet arguments arrive as memoryview
+            # slices of the request buffer instead of copies.
+            dec = CdrDecoder(payload, zero_copy=True)
             # The header is Struct{key: string, operation: string}; read the
             # two strings directly rather than through the Struct plan.
             key = dec.read_string()
-            if key == _BATCH_KEY:
-                # Oneway batch frame: dispatch each sub-request in order.
-                # Every sub goes back through this method, so per-request
-                # accounting, auth, and exception isolation behave as if
-                # the requests had arrived one frame each; the envelope
-                # itself is framing, not a request, hence the decrement.
-                self.requests_handled -= 1
-                count = dec.read_ulong()
-                for _ in range(count):
-                    self.handle_request_bytes(dec.read_octets())
-                enc.write_octet(_STATUS_OK)
-                return enc.getvalue()
             remote_parent = None
             if key == _TRACE_KEY:
                 # Trace-context extension: consume it whether or not this
@@ -650,16 +487,7 @@ class Orb:
         registry.view(prefix if prefix else f"orb.{self.name}", self.stats)
 
     def shutdown(self) -> None:
-        """Close transports and unregister from the domain.
-
-        Queued oneway batches are flushed first; a peer that is already
-        gone loses its queue (exactly what the per-call path would have
-        hit, one CommunicationError at a time)."""
-        if self._batch_queues:
-            try:
-                self.flush()
-            except CommunicationError:
-                pass
+        """Close transports and unregister from the domain."""
         self._inproc.close()
         if self._tcp is not None:
             self._tcp.close()

@@ -214,7 +214,7 @@ class TestEvictionAndRecovery:
         # Crash: the node's LRM stops reporting (and computing) entirely.
         handle = grid.clusters["c0"].nodes[crashed_node]
         handle.lrm._tick_task.stop()
-        handle.lrm._update_task.stop()
+        handle.lrm.stop_updates()
         handle.workstation.stop()
         grid.run_for(2 * SECONDS_PER_HOUR)
         job = grid.job(job_id)
@@ -343,15 +343,57 @@ class TestProtocolAccounting:
 
         assert traffic(30.0) > 1.5 * traffic(120.0)
 
+    def test_full_refresh_every_one_sends_only_full_snapshots(self):
+        grid = dedicated_grid(nodes=3, full_refresh_every=1)
+        grid.run_for(SECONDS_PER_HOUR)
+        for handle in grid.clusters["c0"].nodes.values():
+            lrm = handle.lrm
+            assert lrm.updates_sent > 0
+            assert lrm.updates_full == lrm.updates_sent
+        grm = grid.clusters["c0"].grm
+        assert grm.stats.deltas_received == 0
+
+    def test_totals_never_decrease_and_include_parent_and_asct(self):
+        grid = Grid(seed=3, policy="first_fit", lupa_enabled=False)
+        for cluster in ("a", "b"):
+            grid.add_cluster(cluster)
+            for i in range(3):
+                grid.add_node(cluster, f"{cluster}{i}", dedicated=True)
+        parent, _uplinks = grid.connect_clusters_to_parent("root")
+        asct = grid.make_asct("a")
+        asct.submit(ApplicationSpec(name="t", work_mips=1e5))
+        grid.run_for(SECONDS_PER_HOUR)
+        before = grid.protocol_stats()
+        grid.remove_node("a", "a0")
+        after = grid.protocol_stats()
+        for key, value in before.items():
+            assert after[key] >= value, key
+        grid.run_for(SECONDS_PER_HOUR)
+        later = grid.protocol_stats()
+        for key, value in after.items():
+            assert later[key] >= value, key
+        # Departed nodes, the parent and the ASCT count too, not only
+        # the live cluster and node ORBs.
+        live = [h.orb for h in grid.clusters.values()] + [
+            n.orb for h in grid.clusters.values() for n in h.nodes.values()
+        ]
+        assert parent._orb.requests_handled > 0
+        assert later["requests_handled"] >= (
+            sum(o.requests_handled for o in live)
+            + parent._orb.requests_handled
+        )
+        assert later["requests_sent"] > sum(
+            o.stats()["requests_sent"] for o in live
+        )
+
 
 class TestScaledInformationPlane:
-    """The scaling flags (deltas, throttling, batching, fast path) are
-    opt-in and must leave a working grid behind when enabled together."""
+    """Deltas, throttling and the fast path together must leave a
+    working grid behind."""
 
     def scaled_grid(self, nodes=3, **kwargs):
         return dedicated_grid(
-            nodes=nodes, delta_updates=True, full_refresh_every=5,
-            max_update_interval=480.0, batched_ingest=True,
+            nodes=nodes, full_refresh_every=5, max_update_interval=480.0,
             fast_local=True, **kwargs,
         )
 
@@ -379,7 +421,6 @@ class TestScaledInformationPlane:
         grid.run_for(SECONDS_PER_HOUR)
         metrics = registry.snapshot()["metrics"]
         assert metrics["lrm.updates.suppressed"] > 0
-        assert metrics["lrm.updates.bytes_saved"] > 0
         assert metrics["lrm.updates.delta"] >= 0
         ingest = metrics["grm.c0.ingest_latency_s"]
         assert ingest["count"] > 0

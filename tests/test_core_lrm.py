@@ -91,7 +91,7 @@ class TestInformationProtocol:
     def test_periodic_updates(self):
         loop, ws, lrm, grm = make_lrm(update_interval=60.0)
         loop.run_until(300.0)
-        assert len(grm.updates) == 5
+        assert len(grm.updates) + len(grm.deltas) == 5
         assert lrm.updates_sent == 5
 
     def test_status_reflects_capacity(self):
@@ -388,16 +388,18 @@ class TestEviction:
 class TestDeltaUpdates:
     """LRM-side behaviour of the delta-compressed update protocol."""
 
-    def test_defaults_keep_the_seed_protocol(self):
-        loop, ws, lrm, grm = make_lrm(update_interval=60.0)
+    def test_full_refresh_every_send_keeps_the_seed_protocol(self):
+        loop, ws, lrm, grm = make_lrm(update_interval=60.0,
+                                      full_refresh_every=1)
         loop.run_until(180.0)
         assert len(grm.updates) == 3
         assert not getattr(grm, "deltas", [])
         assert lrm.updates_delta == 0 and lrm.updates_suppressed == 0
+        assert lrm.updates_full == lrm.updates_sent == 3
 
     def test_idle_node_sends_heartbeats_not_snapshots(self):
         loop, ws, lrm, grm = make_lrm(
-            update_interval=60.0, delta_updates=True, full_refresh_every=50,
+            update_interval=60.0, full_refresh_every=50,
         )
         loop.run_until(300.0)
         assert grm.updates == []           # registration aside, no fulls
@@ -406,11 +408,10 @@ class TestDeltaUpdates:
             assert set(payload) == {"time"}   # heartbeat carries time only
         assert lrm.updates_suppressed == 5
         assert lrm.updates_sent == 5
-        assert lrm.updates_bytes_saved > 0
 
     def test_change_travels_as_a_delta(self):
         loop, ws, lrm, grm = make_lrm(
-            update_interval=60.0, delta_updates=True, full_refresh_every=50,
+            update_interval=60.0, full_refresh_every=50,
         )
         loop.run_until(60.0)
         reserve(lrm, cpu=0.5)
@@ -426,7 +427,7 @@ class TestDeltaUpdates:
     def test_throttle_stretches_idle_cadence(self):
         base, capped = 60.0, 480.0
         loop, ws, lrm, grm = make_lrm(
-            update_interval=base, delta_updates=True, full_refresh_every=500,
+            update_interval=base, full_refresh_every=500,
             max_update_interval=capped,
         )
         loop.run_until(3600.0)
@@ -437,7 +438,7 @@ class TestDeltaUpdates:
 
     def test_periodic_full_refresh(self):
         loop, ws, lrm, grm = make_lrm(
-            update_interval=60.0, delta_updates=True, full_refresh_every=4,
+            update_interval=60.0, full_refresh_every=4,
         )
         loop.run_until(60.0 * 12)
         assert len(grm.updates) == 3       # every 4th send is a snapshot
@@ -449,7 +450,7 @@ class TestDeltaUpdates:
         from repro.core.update_protocol import apply_delta
 
         loop, ws, lrm, grm = make_lrm(
-            update_interval=60.0, delta_updates=True, full_refresh_every=5,
+            update_interval=60.0, full_refresh_every=5,
             profile=OFFICE_WORKER, seed=7,
         )
         state = grm.registrations[0][0]
@@ -477,9 +478,7 @@ class TestDeltaUpdates:
                 assert got == expected
 
     def test_detach_stops_delta_updates(self):
-        loop, ws, lrm, grm = make_lrm(
-            update_interval=60.0, delta_updates=True,
-        )
+        loop, ws, lrm, grm = make_lrm(update_interval=60.0)
         loop.run_until(120.0)
         sent = lrm.updates_sent
         lrm.detach()

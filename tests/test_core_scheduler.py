@@ -65,6 +65,18 @@ class TestBasicPolicies:
         ordered = FastestFirstPolicy().order(offers, make_ctx())
         assert ordered[0]["node"] == "fast"   # 2000 beats 3000*0.1
 
+    def test_fastest_first_orders_by_speed_ties_in_input_order(self):
+        offers = [
+            offer("a", mips=1000, cpu_free=0.5),    # 500
+            offer("b", mips=2000, cpu_free=0.5),    # 1000
+            offer("c", mips=500, cpu_free=1.0),     # 500, ties with a
+            offer("d", mips=4000, cpu_free=0.25),   # 1000, ties with b
+            offer("e", mips=100, cpu_free=1.0),     # 100
+        ]
+        ordered = FastestFirstPolicy().order(offers, make_ctx())
+        assert [o["node"] for o in ordered] == ["b", "d", "a", "c", "e"]
+        assert FastestFirstPolicy().order([], make_ctx()) == []
+
     def test_registry(self):
         assert set(POLICIES) == {
             "first_fit", "random", "fastest_first", "pattern_aware",

@@ -24,10 +24,10 @@ GOLDEN_PATH = os.path.join(
 )
 
 
-def run_golden_scenario():
+def run_golden_scenario(fast_local=False):
     grid = Grid(seed=1234, policy="pattern_aware", lupa_enabled=True,
                 lupa_min_history_days=2, update_interval=120.0,
-                tick_interval=60.0)
+                tick_interval=60.0, fast_local=fast_local)
     times = []
     real_advance = grid.loop.clock.advance_to
 
@@ -78,6 +78,10 @@ def run_golden_scenario():
 
 
 def test_golden_determinism():
+    """The in-process fast path skips marshalling, not behaviour: the
+    digest holds with it off and on."""
     with open(GOLDEN_PATH) as f:
         golden = json.load(f)
-    assert run_golden_scenario() == golden
+    for fast_local in (False, True):
+        assert run_golden_scenario(fast_local) == golden, \
+            f"fast_local={fast_local}"

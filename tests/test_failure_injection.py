@@ -26,8 +26,7 @@ def crash_node(grid, name):
     """Stop every timer on a node: it neither computes nor reports."""
     handle = grid.clusters["c0"].nodes[name]
     handle.lrm._tick_task.stop()
-    if handle.lrm._update_task is not None:
-        handle.lrm._update_task.stop()
+    handle.lrm.stop_updates()
     handle.workstation.stop()
     return handle
 

@@ -143,9 +143,7 @@ class TestIncrementalAggregation:
     @settings(max_examples=60, deadline=None)
     @given(ops=ops_strategy)
     def test_matches_oracle_under_arbitrary_interleavings(self, ops):
-        loop, orb, parent, child_ior = make_parent(
-            incremental_aggregation=True, indexed_placement=True
-        )
+        loop, orb, parent, child_ior = make_parent()
         registered = set()
         for op, cluster, payload in ops:
             if op == "register":
@@ -169,7 +167,7 @@ class TestIncrementalAggregation:
             assert incremental == oracle
 
     def test_empty_parent_aggregates_to_zero(self):
-        _, _, parent, _ = make_parent(incremental_aggregation=True)
+        _, _, parent, _ = make_parent()
         summary = parent.aggregate_summary()
         assert summary["nodes"] == 0
         assert summary["max_node_mips"] == 0.0
@@ -202,7 +200,7 @@ class TestIndexedPlacement:
     )
     def test_order_matches_seed_rank(self, free_cpus, sharing, mips,
                                      tasks, min_mips, origin_idx):
-        loop, orb, parent, child_ior = make_parent(indexed_placement=True)
+        loop, orb, parent, child_ior = make_parent()
         for i, free_cpu in enumerate(free_cpus):
             parent.register_cluster({
                 "cluster": f"c{i}", "time": 0.0,
@@ -227,7 +225,7 @@ class TestIndexedPlacement:
         assert indexed_order == seed_order
 
     def test_reregistration_keeps_tie_rank(self):
-        loop, orb, parent, child_ior = make_parent(indexed_placement=True)
+        loop, orb, parent, child_ior = make_parent()
 
         def summary(cluster, free_cpu):
             return {
@@ -247,7 +245,7 @@ class TestIndexedPlacement:
             [r.cluster for r in parent._indexed_candidates(1.0, 1, 0.0, "")]
 
     def test_index_prunes_before_any_remote_call(self):
-        loop, orb, parent, child_ior = make_parent(indexed_placement=True)
+        loop, orb, parent, child_ior = make_parent()
         for i in range(8):
             parent.register_cluster({
                 "cluster": f"c{i}", "time": 0.0, "nodes": 2,
@@ -335,10 +333,10 @@ def build_scaled_three_tier(**flags):
     return grid, parents, uplinks
 
 
-ALL_FLAGS = dict(
-    incremental_summaries=True, indexed_placement=True,
-    delta_uplinks=True, max_summary_interval=960.0,
-)
+#: Throttled delta uplinks; the seed's fixed-cadence full summaries are
+#: ``summary_refresh_every=1``.
+ALL_FLAGS = dict(max_summary_interval=960.0)
+SEED_FLAGS = dict(summary_refresh_every=1)
 
 
 class TestScaledHierarchy:
@@ -376,7 +374,7 @@ class TestScaledHierarchy:
 
     def test_same_workload_same_placement_as_seed_flags(self):
         results = {}
-        for label, flags in (("seed", {}), ("scaled", ALL_FLAGS)):
+        for label, flags in (("seed", SEED_FLAGS), ("scaled", ALL_FLAGS)):
             grid, parents, _ = build_scaled_three_tier(**flags)
             spec = ApplicationSpec(
                 name="gang", kind="bsp", tasks=3, program="p",
@@ -413,8 +411,7 @@ class TestDeltaUplinks:
     def build(self, **extra):
         grid = Grid(seed=5, policy="first_fit", lupa_enabled=False,
                     update_interval=60.0, tick_interval=60.0,
-                    summary_interval=120.0, delta_uplinks=True,
-                    incremental_summaries=True, indexed_placement=True,
+                    summary_interval=120.0,
                     max_summary_interval=480.0, **extra)
         grid.add_cluster("alpha")
         grid.add_cluster("beta")
@@ -498,8 +495,7 @@ class TestDeltaUplinks:
 
 class TestMetricsWiring:
     def test_parent_views_and_submit_histogram(self):
-        grid = Grid(seed=2, policy="first_fit", lupa_enabled=False,
-                    indexed_placement=True, incremental_summaries=True)
+        grid = Grid(seed=2, policy="first_fit", lupa_enabled=False)
         grid.add_cluster("alpha")
         for i in range(2):
             grid.add_node("alpha", f"a{i}", dedicated=True)

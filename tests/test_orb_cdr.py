@@ -15,6 +15,7 @@ from repro.orb.cdr import (
     Octets,
     Sequence,
     Short,
+    SparseStruct,
     String,
     Struct,
     ULong,
@@ -171,9 +172,53 @@ class TestVariant:
         with pytest.raises(MarshalError):
             roundtrip(VARIANT, object())
 
+    def test_zero_copy_bytes_materialise(self):
+        # A variant is a plain value: its octets must not stay a view
+        # pinning the request buffer.
+        enc = CdrEncoder()
+        VARIANT.encode(enc, {"result": b"\x01\x02"})
+        value = VARIANT.decode(CdrDecoder(enc.getvalue(), zero_copy=True))
+        assert type(value["result"]) is bytes
+
     def test_non_string_dict_keys_rejected(self):
         with pytest.raises(MarshalError):
             roundtrip(VARIANT, {1: "x"})
+
+
+class TestSparseStruct:
+    STATUS = Struct("Status", [
+        ("node", String), ("time", Double), ("cpu_free", Double),
+        ("owner_active", Boolean), ("grid_tasks", Long),
+    ])
+
+    @pytest.mark.parametrize("value", [
+        {},
+        {"time": 60.0},
+        {"cpu_free": 0.25, "time": 120.0},
+        {"grid_tasks": 3, "owner_active": True, "time": 1.5},
+        {"node": "n1", "time": 0.0, "cpu_free": 1.0,
+         "owner_active": False, "grid_tasks": 0},
+    ])
+    def test_roundtrip_any_subset(self, value):
+        assert roundtrip(SparseStruct(self.STATUS), value) == value
+
+    def test_heartbeat_is_mask_plus_one_double(self):
+        enc = CdrEncoder()
+        SparseStruct(self.STATUS).encode(enc, {"time": 60.0})
+        variant = CdrEncoder()
+        VARIANT.encode(variant, {"time": 60.0})
+        assert len(enc) == 16   # ulong mask, pad to 8, double
+        assert len(enc) < len(variant)
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(MarshalError):
+            roundtrip(SparseStruct(self.STATUS), {"bogus": 1.0})
+
+    def test_mask_beyond_the_fields_rejected(self):
+        enc = CdrEncoder()
+        enc.write_ulong(1 << 5)
+        with pytest.raises(MarshalError):
+            SparseStruct(self.STATUS).decode(CdrDecoder(enc.getvalue()))
 
 
 class TestDecoderRobustness:
@@ -250,46 +295,3 @@ class TestZeroCopyDecoder:
     def test_zero_copy_underrun_still_raises(self):
         with pytest.raises(MarshalError):
             CdrDecoder(b"\x01", zero_copy=True).read_double()
-
-
-class TestEncoderPool:
-    def test_acquire_release_reuses_instances(self):
-        from repro.orb.cdr import acquire_encoder, release_encoder
-
-        enc = acquire_encoder()
-        enc.write_string("x")
-        release_encoder(enc)
-        again = acquire_encoder()
-        try:
-            # Pooled encoders come back reset: no residue from the
-            # previous user may leak into the next payload.
-            assert again.getvalue() == b""
-        finally:
-            release_encoder(again)
-
-    def test_pooled_output_matches_fresh(self):
-        from repro.orb.cdr import acquire_encoder, release_encoder
-
-        fresh = CdrEncoder()
-        fresh.write_string("task")
-        fresh.write_double(1.25)
-        pooled = acquire_encoder()
-        try:
-            pooled.write_string("task")
-            pooled.write_double(1.25)
-            assert pooled.getvalue() == fresh.getvalue()
-        finally:
-            release_encoder(pooled)
-
-    def test_pool_is_bounded(self):
-        from repro.orb.cdr import (
-            _ENCODER_POOL,
-            _ENCODER_POOL_MAX,
-            acquire_encoder,
-            release_encoder,
-        )
-
-        encoders = [acquire_encoder() for _ in range(_ENCODER_POOL_MAX + 8)]
-        for enc in encoders:
-            release_encoder(enc)
-        assert len(_ENCODER_POOL) <= _ENCODER_POOL_MAX

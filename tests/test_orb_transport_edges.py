@@ -1,15 +1,20 @@
 """Edge-case tests for the TCP transport.
 
-Malformed wire input (empty frames, oversized frames, connections cut
-mid-frame) must never kill a serving thread or poison other callers,
-frame-size limits are enforced in both directions, concurrent invokes
-are safe on both framings, and connection bookkeeping must not leak.
+Malformed wire input (empty frames, oversized frames, frames of an
+unknown type, connections cut mid-frame) must never kill a serving
+thread or poison other callers, frame-size limits are enforced in both
+directions, concurrent invokes are safe, a two-way reply follows every
+oneway sent before it, connection bookkeeping must not leak, and a
+shut-down transport leaves no thread behind.
 """
 
+import gc
 import socket
 import struct
+import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -25,24 +30,29 @@ from repro.orb.transport import (
 
 ECHO_INTERFACE = InterfaceDef("test/Echo", [
     Operation("echo", (Parameter("text", String),), returns=String),
+    Operation("note", (Parameter("text", String),), oneway=True),
 ])
 
 
 class Echo:
+    def __init__(self):
+        self.notes = []
+
     def echo(self, text):
         return text
 
+    def note(self, text):
+        self.notes.append(text)
 
-def make_server(pipelined=False):
-    orb = Orb("edge-server", domain=InProcDomain(), tcp=True,
-              tcp_pipelined=pipelined)
+
+def make_server():
+    orb = Orb("edge-server", domain=InProcDomain(), tcp=True)
     ref = orb.activate(Echo(), ECHO_INTERFACE, key="test/echo")
     return orb, ref
 
 
-def make_client(pipelined=False):
-    return Orb("edge-client", domain=InProcDomain(), tcp=True,
-               tcp_pipelined=pipelined)
+def make_client():
+    return Orb("edge-client", domain=InProcDomain(), tcp=True)
 
 
 def raw_connect(orb):
@@ -51,17 +61,29 @@ def raw_connect(orb):
                                     timeout=5)
 
 
-def legacy_request_frame(key, operation, text):
-    """A hand-built legacy frame (flag byte 1 = reply expected)."""
+def request_payload(key, operation, text):
     enc = CdrEncoder()
     enc.write_string(key)
     enc.write_string(operation)
     enc.write_string(text)
-    payload = b"\x01" + enc.getvalue()
-    return struct.pack(">I", len(payload)) + payload
+    return enc.getvalue()
 
 
-def recv_reply(sock):
+def request_frame(key, operation, text, corr=7):
+    """A hand-built request frame (type 0x11 + correlation id)."""
+    body = b"\x11" + struct.pack(">I", corr) + request_payload(
+        key, operation, text)
+    return struct.pack(">I", len(body)) + body
+
+
+def legacy_request_frame(key, operation, text):
+    """A frame in the retired legacy framing (flag byte 1 = reply
+    expected), as an old peer would send it."""
+    body = b"\x01" + request_payload(key, operation, text)
+    return struct.pack(">I", len(body)) + body
+
+
+def recv_reply(sock, corr=7):
     header = sock.recv(4)
     (length,) = struct.unpack(">I", header)
     data = b""
@@ -69,7 +91,9 @@ def recv_reply(sock):
         chunk = sock.recv(length - len(data))
         assert chunk, "server closed mid-reply"
         data += chunk
-    dec = CdrDecoder(data)
+    assert data[0] == 0x12                          # reply frame
+    assert struct.unpack(">I", data[1:5])[0] == corr
+    dec = CdrDecoder(data[5:])
     assert dec.read_octet() == 0   # status ok
     return dec.read_string()
 
@@ -89,7 +113,7 @@ class TestMalformedFrames:
         try:
             with raw_connect(server) as sock:
                 sock.sendall(struct.pack(">I", 0))   # zero-length frame
-                sock.sendall(legacy_request_frame("test/echo", "echo", "hi"))
+                sock.sendall(request_frame("test/echo", "echo", "hi"))
                 assert recv_reply(sock) == "hi"
             assert server._tcp.frames_rejected == 1
         finally:
@@ -107,7 +131,7 @@ class TestMalformedFrames:
             # The transport itself survives: a well-formed connection
             # right after still gets served.
             with raw_connect(server) as sock:
-                sock.sendall(legacy_request_frame("test/echo", "echo", "ok"))
+                sock.sendall(request_frame("test/echo", "echo", "ok"))
                 assert recv_reply(sock) == "ok"
         finally:
             server.shutdown()
@@ -135,12 +159,12 @@ class TestMalformedFrames:
             server.shutdown()
 
     def test_empty_frame_on_pipelined_connection_is_dropped(self):
-        server, ref = make_server(pipelined=True)
-        client = make_client(pipelined=True)
+        server, ref = make_server()
+        client = make_client()
         try:
             stub = client.stub(ref, ECHO_INTERFACE)
-            assert stub.echo("negotiate") == "negotiate"   # upgrade first
-            conn = next(iter(client._tcp._pipelined_conns.values()))
+            assert stub.echo("connect") == "connect"
+            conn = next(iter(client._tcp._conns.values()))
             with conn.send_lock:
                 conn.sock.sendall(struct.pack(">I", 0))
             assert wait_for(lambda: server._tcp.frames_rejected == 1)
@@ -151,15 +175,17 @@ class TestMalformedFrames:
 
 
 class TestConcurrentInvokes:
-    @pytest.mark.parametrize("pipelined", [False, True])
-    def test_threaded_echo_storm(self, pipelined):
-        server, ref = make_server(pipelined=pipelined)
-        client = make_client(pipelined=pipelined)
+    @pytest.mark.parametrize("shared_stub", [False, True])
+    def test_threaded_echo_storm(self, shared_stub):
+        server, ref = make_server()
+        client = make_client()
         errors = []
+        shared = client.stub(ref, ECHO_INTERFACE)
 
         def worker(tid):
             try:
-                stub = client.stub(ref, ECHO_INTERFACE)
+                stub = (shared if shared_stub
+                        else client.stub(ref, ECHO_INTERFACE))
                 for i in range(25):
                     text = f"t{tid}-{i}"
                     if stub.echo(text) != text:
@@ -167,15 +193,38 @@ class TestConcurrentInvokes:
             except Exception as exc:
                 errors.append(exc)
 
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # interleave callers as often as possible
         try:
             threads = [threading.Thread(target=worker, args=(tid,))
                        for tid in range(8)]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(30)
+                assert not thread.is_alive()
             assert errors == []
             assert server.requests_handled >= 8 * 25
+            # Every caller shared the one connection.
+            assert len(client._tcp._conns) == 1
+        finally:
+            sys.setswitchinterval(interval)
+            client.shutdown()
+            server.shutdown()
+
+    def test_two_way_reply_follows_every_earlier_oneway(self):
+        server, ref = make_server()
+        client = make_client()
+        try:
+            stub = client.stub(ref, ECHO_INTERFACE)
+            for i in range(200):
+                stub.note(f"n{i}")
+            assert stub.echo("barrier") == "barrier"
+            servant = server._servants["test/echo"][0]
+            assert servant.notes == [f"n{i}" for i in range(200)]
+            # Nagle is off, so small frames never wait on delayed ACKs.
+            sock = next(iter(client._tcp._conns.values())).sock
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
         finally:
             client.shutdown()
             server.shutdown()
@@ -209,7 +258,7 @@ class TestConnectionBookkeeping:
             assert address in transport._conn_locks
             transport._drop_connection(address)
             assert address not in transport._conn_locks
-            assert address not in transport._client_socks
+            assert address not in transport._conns
             # And the client recovers by reconnecting transparently.
             assert stub.echo("y") == "y"
         finally:
@@ -218,25 +267,36 @@ class TestConnectionBookkeeping:
 
 
 class TestFramingInterop:
-    def test_pipelined_client_against_legacy_server(self):
-        server, ref = make_server(pipelined=False)
-        client = make_client(pipelined=True)
+    def test_legacy_client_against_pipelined_server(self):
+        """A peer still speaking the retired legacy framing gets its
+        frames rejected, and the connection keeps serving."""
+        server, _ = make_server()
         try:
-            stub = client.stub(ref, ECHO_INTERFACE)
-            assert stub.echo("mixed") == "mixed"
-            # The failed probe is remembered: this peer speaks legacy.
-            assert server._tcp.address in client._tcp._legacy_addrs
-            assert client._tcp._pipelined_conns == {}
+            with raw_connect(server) as sock:
+                sock.sendall(legacy_request_frame("test/echo", "echo", "old"))
+                sock.sendall(request_frame("test/echo", "echo", "new"))
+                assert recv_reply(sock) == "new"
+            assert server._tcp.frames_rejected == 1
+            assert server.requests_handled == 1
         finally:
-            client.shutdown()
             server.shutdown()
 
-    def test_legacy_client_against_pipelined_server(self):
-        server, ref = make_server(pipelined=True)
-        client = make_client(pipelined=False)
-        try:
-            stub = client.stub(ref, ECHO_INTERFACE)
-            assert stub.echo("mixed") == "mixed"
-        finally:
-            client.shutdown()
-            server.shutdown()
+
+class TestShutdown:
+    def test_shutdown_joins_threads_and_frees_the_orbs(self):
+        server, ref = make_server()
+        client = make_client()
+        assert client.stub(ref, ECHO_INTERFACE).echo("x") == "x"
+        threads = [server._tcp._accept_thread, client._tcp._accept_thread]
+        threads += list(server._tcp._server_conns.values())
+        threads += [c.reader for c in client._tcp._conns.values()]
+        client.shutdown()
+        server.shutdown()
+        deadline = time.monotonic() + 1.0
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+            assert not thread.is_alive(), thread.name
+        refs = [weakref.ref(server), weakref.ref(client)]
+        del server, client, ref, threads
+        gc.collect()
+        assert [r() for r in refs] == [None, None]

@@ -73,6 +73,24 @@ class TestPayloadResults:
         status = asct.status(job_id)
         assert status["tasks"][0]["result"] == "hello from the grid"
 
+    def test_bytes_result_arrives_as_bytes_when_marshalled(self):
+        """Over the marshalled path an octet result reaches the GRM and
+        the ASCT as plain ``bytes``, not a view pinning the request."""
+        grid = Grid(seed=9, policy="first_fit", lupa_enabled=False,
+                    fast_local=False)
+        grid.add_cluster("c0")
+        grid.add_node("c0", "d0", dedicated=True)
+        grid.run_for(120)
+        asct = grid.make_asct("c0")
+        job_id = asct.submit(ApplicationSpec(
+            name="raw", work_mips=1e5,
+            metadata={"payload": "result = bytes([1, 2, 3])"},
+        ))
+        grid.run_for(SECONDS_PER_HOUR)
+        assert type(grid.job(job_id).tasks[0].result) is bytes
+        result = asct.status(job_id)["tasks"][0]["result"]
+        assert type(result) is bytes and result == b"\x01\x02\x03"
+
     def test_payloadless_task_has_none_result(self):
         grid = make_grid(1)
         job_id = grid.submit(ApplicationSpec(name="plain", work_mips=1e5))

@@ -182,6 +182,33 @@ class TestThrottle:
             kinds.append(kind)
         assert kinds == [HEARTBEAT, HEARTBEAT, HEARTBEAT, FULL] * 3
 
+    def test_unthrottled_full_sends_skip_the_field_compare(
+            self, monkeypatch):
+        def boom(*_args):
+            raise AssertionError("compared fields for a full send")
+
+        monkeypatch.setattr(DeltaSender, "_changed_fields", boom)
+        sender = DeltaSender(60.0, full_refresh_every=1)
+        status = base_status()
+        sender.register(status)
+        for i in range(3):
+            status = dict(status, time=float(i + 1) * 60.0, cpu_free=0.5)
+            assert sender.encode(status) == (FULL, status)
+            assert sender.current_interval == 60.0
+
+    def test_throttled_full_sends_still_adapt_the_cadence(self):
+        sender = DeltaSender(60.0, full_refresh_every=1, max_interval=240.0)
+        status = base_status()
+        sender.register(status)
+        seen = []
+        for i in range(3):
+            status = dict(status, time=float(i + 1) * 60.0)
+            assert sender.encode(status)[0] == FULL
+            seen.append(sender.current_interval)
+        status = dict(status, time=240.0, cpu_free=0.25)
+        sender.encode(status)
+        assert seen + [sender.current_interval] == [120.0, 240.0, 240.0, 60.0]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DeltaSender(0.0)
@@ -200,13 +227,13 @@ class TestThrottle:
 
 class TestGrmEquivalence:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(steps=mutations, batched=st.booleans())
-    def test_delta_ingest_matches_full_snapshot_oracle(self, steps, batched):
+    @given(steps=mutations, flush_each=st.booleans())
+    def test_delta_ingest_matches_full_snapshot_oracle(self, steps,
+                                                      flush_each):
         loop = EventLoop()
         domain = InProcDomain()
         oracle = Grm(EventLoop(), Orb(domain=domain), cluster="oracle")
-        subject = Grm(loop, Orb(domain=domain), cluster="subject",
-                      batched_ingest=batched)
+        subject = Grm(loop, Orb(domain=domain), cluster="subject")
 
         from tests.test_core_grm_unit import ScriptedLrm
         servant = ScriptedLrm("n0")
@@ -222,11 +249,14 @@ class TestGrmEquivalence:
         for i, mutation in enumerate(steps):
             status = dict(status, time=float(i + 1) * 60.0, **mutation)
             oracle.send_update(dict(status))
+            oracle.flush_updates()   # the seed: re-index per update
             kind, payload = sender.encode(status)
             if kind == FULL:
                 subject.send_update(dict(payload))
             else:
                 subject.send_delta("n0", dict(payload))
+            if flush_each:
+                subject.flush_updates()
 
         subject.flush_updates()
         o_rec = oracle._nodes["n0"]
